@@ -1,21 +1,19 @@
-"""E-API — batch ``Session`` throughput vs. standalone ``Verifier`` loops.
+"""E-API — batch ``Session`` throughput vs. N fresh single-task sessions.
 
 The api_redesign claim: one :class:`repro.api.Session` verifying a batch
 of Sect. 2-style triples (shared universe, memoized parses and
-entailments) beats N independent ``Verifier`` instantiations, and a warm
-session beats a cold one.  Expected row shape::
+entailments) beats N fresh sessions verifying one triple each, and a
+warm session beats a cold one.  Expected row shape::
 
-    batch(Session)   <  N × Verifier     (shared caches win)
-    warm Session     <= cold Session     (entailment cache hits > 0)
+    batch(Session)   <  N × fresh Session   (shared caches win)
+    warm Session     <= cold Session        (entailment cache hits > 0)
 
 All verdicts must agree across the three strategies.
 """
 
 import time
-import warnings
 
 from repro.api import Session
-from repro.verifier import Verifier
 
 import common
 
@@ -54,29 +52,26 @@ def run_batch_session():
     return session, session.verify_many(TRIPLES)
 
 
-def run_standalone_verifiers():
-    results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for pre, program, post in TRIPLES:
-            verifier = Verifier(PVARS, 0, 1)
-            results.append(verifier.verify(pre, program, post))
-    return results
+def run_fresh_sessions():
+    return [
+        Session(PVARS, 0, 1).verify(pre, program, post)
+        for pre, program, post in TRIPLES
+    ]
 
 
-def test_batch_session_beats_standalone_verifiers(benchmark):
+def test_batch_session_beats_fresh_sessions(benchmark):
     session, report = benchmark.pedantic(run_batch_session, rounds=3, iterations=1)
 
     started = time.perf_counter()
-    standalone = run_standalone_verifiers()
+    standalone = run_fresh_sessions()
     standalone_elapsed = time.perf_counter() - started
 
     started = time.perf_counter()
     cold_session, cold_report = run_batch_session()
     cold_elapsed = time.perf_counter() - started
 
-    common.banner("E-API: batch Session vs. %d standalone Verifiers" % len(TRIPLES))
-    print("standalone Verifier loop: %.4fs" % standalone_elapsed)
+    common.banner("E-API: batch Session vs. %d fresh Sessions" % len(TRIPLES))
+    print("fresh Session per task:   %.4fs" % standalone_elapsed)
     print("batch Session (cold):     %.4fs  (%s)" % (cold_elapsed, cold_report and "ok" or "mixed"))
     print(cold_report.summary())
     print("speedup: %.1fx" % (standalone_elapsed / max(cold_elapsed, 1e-9)))
@@ -85,7 +80,7 @@ def test_batch_session_beats_standalone_verifiers(benchmark):
     assert [r.verified for r in cold_report] == [r.verified for r in standalone]
     # The repeated specs must actually hit the entailment cache...
     assert cold_report.entailment_cache_hits > 0
-    # ...and the shared-cache batch must beat N fresh facades outright.
+    # ...and the shared-cache batch must beat N fresh sessions outright.
     assert cold_elapsed < standalone_elapsed
 
 

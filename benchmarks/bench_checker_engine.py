@@ -22,13 +22,7 @@ things:
    the interpreter re-walks ``k**2`` binding pairs per candidate with
    no short-circuit exit) the compiled engine must beat the interpreted
    engine (``compiled=False``, the pre-compile behavior) by >= 5x, with
-   identical verdicts, witnesses and ``checked_sets``;
-4. **bitset speedup** — on a union-dominated walk (full powerset of a
-   16-state universe, each image the whole universe, constant pre/post
-   so nothing but the ``Δ`` remains) the bitset engine must beat the
-   ``bitset=False`` escape hatch by >= 5x: the frozenset recursion pays
-   an ``O(n)`` union and a ``frozenset(chosen)`` allocation per
-   candidate where the mask recursion pays two machine-word ``|``\\ s.
+   identical verdicts, witnesses and ``checked_sets``.
 
 Usage::
 
@@ -77,10 +71,6 @@ MIN_SPEEDUP = 10.0
 #: The compile-once refactor's headline: compiled vs interpreted engine
 #: on assertion-heavy triples.
 MIN_COMPILED_SPEEDUP = 5.0
-
-#: The bitset refactor's headline: id-bitmask enumeration vs the
-#: frozenset escape hatch on a union-dominated powerset walk.
-MIN_BITSET_SPEEDUP = 5.0
 
 #: 3 program variables over {0, 1}: 8 extended states, 256 initial sets.
 PVARS = ["x", "y", "z"]
@@ -261,54 +251,6 @@ def bench_compiled(repeats, attempts=3):
     print("compiled speedup >= %.0fx: OK" % MIN_COMPILED_SPEEDUP)
 
 
-def bench_bitset(repeats, attempts=3):
-    """Bitset vs frozenset enumeration where only the ``Δ`` is left.
-
-    Two variables over ``0..3``: 16 extended states, 65536 candidate
-    sets, every image the full universe (``nonDet`` on both variables),
-    constant pre/post.  Both engines walk the identical size-ordered
-    enumeration; the frozenset one allocates a set and unions ``O(n)``
-    elements per candidate, the bitset one ORs two machine words.
-    """
-    universe = Universe(["x", "y"], IntRange(0, 3))
-    command = parse_command("x := nonDet(); y := nonDet()")
-    pre = post = TRUE_H
-    bitset = CheckerEngine(universe, ImageCache(), bitset=True)
-    plain = CheckerEngine(universe, ImageCache(), bitset=False)
-    rb = bitset.check(pre, command, post)
-    rp = plain.check(pre, command, post)
-    same = (
-        rb.valid == rp.valid
-        and rb.witness_pre == rp.witness_pre
-        and rb.witness_post == rp.witness_post
-        and rb.checked_sets == rp.checked_sets
-    )
-    assert same, "bitset engine disagrees with the frozenset engine"
-    for attempt in range(attempts):
-        plain_t, _ = best_of(repeats, lambda: plain.check(pre, command, post))
-        bitset_t, _ = best_of(repeats, lambda: bitset.check(pre, command, post))
-        if bitset_t and plain_t / bitset_t >= MIN_BITSET_SPEEDUP:
-            break
-        if attempt < attempts - 1:
-            print("  noisy measurement (%.1fx), re-measuring..."
-                  % (plain_t / bitset_t if bitset_t else float("inf")))
-    speedup = plain_t / bitset_t if bitset_t else float("inf")
-    print()
-    print(
-        "bitset evaluation: %d extended states, %d candidate sets "
-        "(union-dominated, constant pre/post)"
-        % (universe.size(), rb.checked_sets)
-    )
-    print("  frozenset engine (bitset=False):    %8.4fs" % plain_t)
-    print("  bitset engine (id-bitmasks):        %8.4fs   %6.1fx"
-          % (bitset_t, speedup))
-    assert speedup >= MIN_BITSET_SPEEDUP, (
-        "expected >= %.0fx over the frozenset engine, measured %.1fx"
-        % (MIN_BITSET_SPEEDUP, speedup)
-    )
-    print("bitset speedup >= %.0fx: OK" % MIN_BITSET_SPEEDUP)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -329,7 +271,6 @@ def main(argv=None):
     cross_validate(universe)
     bench_speedup(universe, repeats)
     bench_compiled(repeats)
-    bench_bitset(repeats)
 
 
 if __name__ == "__main__":

@@ -17,13 +17,11 @@ things:
    arms when the machine exposes >= 4 CPUs (on fewer cores the law of
    physics wins and the measured ratio is reported without failing the
    build);
-3. **proof transport overhead** — tasks and outcomes cross the process
-   boundary as :mod:`repro.codec` wire documents carrying *full proof
-   trees*; on a proof-heavy straight-line workload the sharded run with
-   full transport must stay within
-   :data:`MAX_PROOF_TRANSPORT_OVERHEAD` (1.3x) of the elided-proof
-   baseline (``transport_proofs=False``, the pre-codec behavior), and
-   its decoded proofs must compare equal to the inline run's;
+3. **proof transport** — tasks and outcomes cross the process boundary
+   as :mod:`repro.codec` wire documents carrying *full proof trees*; on
+   a proof-heavy straight-line workload the sharded run's decoded
+   proofs and witnesses must compare equal to the inline run's, and its
+   throughput is reported;
 4. **fuzz scaling** — the differential fuzz harness
    (:func:`repro.conformance.run_fuzz`) is timed inline vs sharded on
    the same trial stream, and its trial logs must match byte-for-byte.
@@ -44,16 +42,11 @@ sys.path.insert(
 )
 
 from repro.api import Session  # noqa: E402
-from repro.api.sharding import verify_many_sharded  # noqa: E402
 from repro.conformance import run_fuzz  # noqa: E402
 from repro.gen import GenConfig, trials  # noqa: E402
 
 MIN_SCALING = 2.0
 SHARDS = 4
-
-#: Full proof transport may cost at most this factor over the
-#: elided-proof baseline on a proof-heavy workload.
-MAX_PROOF_TRANSPORT_OVERHEAD = 1.3
 
 #: 4 program variables over {0, 1}: 16 extended states, 65536 initial
 #: sets — each *valid* task is a full enumeration, which is the regime
@@ -122,11 +115,7 @@ def bench_batch(count):
 #: Proof-transport workload: pure straight-line trials, so the
 #: syntactic-wp backend decides every task and (almost) every outcome
 #: document carries a full proof tree or witness.  Four variables give
-#: each task a realistic entailment/counterexample-search cost — the
-#: regime the 1.3x transport budget is about (on an empty workload the
-#: ratio would only measure codec constants).  The bitset core cut the
-#: per-task compute enough that the old 3-variable x24-task workload
-#: finished in ~40ms and pool-spawn jitter swamped the ratio.
+#: each task a realistic entailment/counterexample-search cost.
 PROOF_PVARS = ("w", "x", "y", "z")
 PROOF_SEED = 2
 
@@ -145,49 +134,33 @@ def bench_proof_transport(count):
     shards = min(2, os.cpu_count() or 1)
     inline = Session(PROOF_PVARS, lo=0, hi=1).verify_many(batch)
 
-    def sharded(transport_proofs):
+    def sharded():
         session = Session(PROOF_PVARS, lo=0, hi=1)
         return timed(
-            lambda: verify_many_sharded(
-                session, batch, shards=shards, transport_proofs=transport_proofs
-            )
+            lambda: session.verify_many(batch, sharding="process", shards=shards)
         )
 
-    # best-of-3 per mode: pool spawn noise dominates small workloads
-    full_t, full_r = min(
-        (sharded(True) for _ in range(3)), key=lambda tr: tr[0]
-    )
-    elided_t, elided_r = min(
-        (sharded(False) for _ in range(3)), key=lambda tr: tr[0]
-    )
+    # best-of-3: pool spawn noise dominates small workloads
+    full_t, full_r = min((sharded() for _ in range(3)), key=lambda tr: tr[0])
 
     proofs = 0
-    for mine, full, bare in zip(inline, full_r, elided_r):
-        assert mine.verdict == full.verdict == bare.verdict
+    for mine, full in zip(inline, full_r):
+        assert mine.verdict == full.verdict
         assert mine.proof == full.proof, (
             "full transport returned a proof differing from the inline run"
         )
         assert mine.witness == full.witness
         if mine.proof is not None:
             proofs += 1
-            assert bare.proof is None, "elided baseline leaked a proof"
     assert proofs, "proof-transport workload produced no proofs"
 
-    overhead = full_t / elided_t if elided_t else float("inf")
     print()
     print(
         "proof transport: %d straight-line tasks, %d with proof trees, %d shards"
         % (count, proofs, shards)
     )
-    print("  wire transport, proofs elided:   %8.3fs  %6.1f tasks/s" % (elided_t, count / elided_t))
     print("  wire transport, full proofs:     %8.3fs  %6.1f tasks/s" % (full_t, count / full_t))
-    print("  overhead (full vs elided):       %8.2fx" % overhead)
-    assert overhead <= MAX_PROOF_TRANSPORT_OVERHEAD, (
-        "full proof transport cost %.2fx over the elided baseline "
-        "(budget %.1fx)" % (overhead, MAX_PROOF_TRANSPORT_OVERHEAD)
-    )
-    print("  sharded proofs identical to inline, overhead <= %.1fx: OK"
-          % MAX_PROOF_TRANSPORT_OVERHEAD)
+    print("  sharded proofs and witnesses identical to inline: OK")
 
 
 def bench_fuzz(count):

@@ -23,7 +23,6 @@ from .checker import (  # noqa: F401
 )
 from .codec import SCHEMA_VERSION, WireError, from_wire, to_wire  # noqa: F401
 from .api import (  # noqa: F401
-    Attempt,
     Backend,
     Budget,
     ExhaustiveBackend,
@@ -41,4 +40,3 @@ from .api import (  # noqa: F401
     VerificationTask,
     default_backends,
 )
-from .verifier import Verifier, VerificationResult  # noqa: F401

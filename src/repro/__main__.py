@@ -126,6 +126,8 @@ def build_parser():
 
 
 def build_fuzz_parser():
+    from .conformance import CHECK_KINDS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
         description="Differentially fuzz every verification backend on seeded "
@@ -169,14 +171,10 @@ def build_fuzz_parser():
     parser.add_argument(
         "--checks",
         help="comma-separated check selectors, matched as substrings against "
-        "the per-trial check kinds (engine-vs-naive, compiled-vs-interpreted, "
-        "bitset-vs-frozenset, terminating-engine-vs-naive, "
-        "sampled-engine-vs-naive, syntactic-vs-oracle, chain-vs-oracle, "
-        "symbolic-vs-engine, hl-embedding, il-embedding, store-vs-inline, "
-        "incremental-vs-cold); "
-        "prefix a selector with '-' to exclude instead, e.g. --checks bitset "
-        "or --checks=-embedding; --checks list prints the known kinds and "
-        "exits (default: run all twelve)",
+        "the per-trial check kinds (%s); prefix a selector with '-' to "
+        "exclude instead, e.g. --checks compiled or --checks=-embedding; "
+        "--checks list prints the known kinds and exits (default: run all %d)"
+        % (", ".join(CHECK_KINDS), len(CHECK_KINDS)),
     )
     parser.add_argument(
         "--list-checks",

@@ -81,52 +81,40 @@ def _scan_initial_sets(task, session, budget, max_size=None):
     after ``checked`` sets).
     """
     engine = session.engine
+    scanner = engine._parallel_scanner()
+    if scanner is not None:
+        outcome = scanner.run(
+            task.pre,
+            task.command,
+            task.post,
+            max_size=max_size,
+            expired=lambda: _expired(budget),
+        )
+        if outcome is not None:
+            kind, payload = outcome
+            if kind == "exhausted":
+                return _EXHAUSTED, None, payload
+            result = payload
+            if result.valid:
+                return _PASSED, None, result.checked_sets
+            witness = Witness(result.witness_pre, result.witness_post)
+            return _REFUTED, witness, result.checked_sets
+        # ineligible scan: fall through to the serial enumeration
+    # walk raw id-bitmasks and decode only the refuting candidate —
+    # accepted sets never leave machine-word form
+    universe = session.universe
     checked = 0
-    if engine.bitset:
-        scanner = engine._parallel_scanner()
-        if scanner is not None:
-            outcome = scanner.run(
-                task.pre,
-                task.command,
-                task.post,
-                max_size=max_size,
-                expired=lambda: _expired(budget),
-            )
-            if outcome is not None:
-                kind, payload = outcome
-                if kind == "exhausted":
-                    return _EXHAUSTED, None, payload
-                result = payload
-                if result.valid:
-                    return _PASSED, None, result.checked_sets
-                witness = Witness(result.witness_pre, result.witness_post)
-                return _REFUTED, witness, result.checked_sets
-            # ineligible scan: fall through to the serial enumeration
-        # walk raw id-bitmasks and decode only the refuting candidate —
-        # accepted sets never leave machine-word form
-        universe = session.universe
-        for chosen, acc, ok in engine.scan_masks(
-            task.pre, task.command, task.post, max_size=max_size
-        ):
-            if _expired(budget):
-                return _EXHAUSTED, None, checked
-            checked += 1
-            if acc is None:  # precondition rejected the subset
-                continue
-            if not ok:
-                witness = Witness(universe.states_of(chosen), universe.states_of(acc))
-                return _REFUTED, witness, checked
-        return _PASSED, None, checked
-    for subset, post_set, ok in engine.scan(
+    for chosen, acc, ok in engine.scan_masks(
         task.pre, task.command, task.post, max_size=max_size
     ):
         if _expired(budget):
             return _EXHAUSTED, None, checked
         checked += 1
-        if post_set is None:  # precondition rejected the subset
+        if acc is None:  # precondition rejected the subset
             continue
         if not ok:
-            return _REFUTED, Witness(subset, post_set), checked
+            witness = Witness(universe.states_of(chosen), universe.states_of(acc))
+            return _REFUTED, witness, checked
     return _PASSED, None, checked
 
 

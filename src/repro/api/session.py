@@ -13,8 +13,8 @@ Each task's result is a :class:`TaskResult` holding the
 through :mod:`repro.codec`, so a report can persist or cross a process
 boundary without losing proofs or witnesses.
 
-The caches are what make a session cheaper than N standalone verifier
-instantiations: entailment queries repeat heavily across related triples
+The caches are what make one session cheaper than N fresh single-task
+sessions: entailment queries repeat heavily across related triples
 (the closing ``Cons`` entailments of similar specs, ``I |= low(b)`` side
 conditions, ...) and each repeat is a dictionary hit instead of a SAT
 run or a powerset enumeration.
@@ -54,7 +54,7 @@ from .backends import (
     SyntacticWPBackend,
 )
 from .outcome import Outcome, Undecided
-from .task import Attempt, Budget, VerificationTask, as_outcome
+from .task import Budget, VerificationTask, as_outcome
 
 _MISS = object()
 
@@ -151,14 +151,6 @@ class TaskResult(WireCodec):
             if outcome.decided:
                 return outcome
         return None
-
-    #: Historical name for :attr:`outcome`.
-    decided_by = outcome
-
-    @property
-    def attempts(self):
-        """Deprecated: the outcomes as legacy :class:`Attempt` views."""
-        return tuple(Attempt.of(o) for o in self.outcomes)
 
     @property
     def verdict(self):
@@ -375,6 +367,48 @@ class Report(WireCodec):
                 % (label, verdict, result.method, result.elapsed)
             )
         return "\n".join(lines)
+
+
+def _counters(session):
+    """The session's cumulative cache, oracle and parallel-scan counters,
+    keyed by the :class:`Report` field each one's delta fills."""
+    oracle = session.oracle.cache_info()
+    images = session.images.stats()
+    compiles = session.compiles.stats()
+    methods = session.oracle.method_counts()
+    par = session.engine.parallel_stats()
+    return {
+        "entailment_cache_hits": oracle["hits"],
+        "entailment_cache_misses": oracle["misses"],
+        "image_cache_hits": images["hits"],
+        "image_cache_misses": images["misses"],
+        "image_cache_evictions": images["evictions"],
+        "entailment_sat_decisions": methods.get("sat", 0),
+        "entailment_brute_decisions": methods.get("brute", 0),
+        "image_mask_hits": images["mask_hits"],
+        "image_mask_misses": images["mask_misses"],
+        # subtree-level reuse: compiled closures, image rows and
+        # entailment verdicts served from cache (the mask tier shadows
+        # the image tier, so it is not double-counted)
+        "artifacts_reused": oracle["hits"] + images["hits"] + compiles["hits"],
+        "parallel_blocks": par["blocks"],
+        "blocks_cancelled": par["cancelled"],
+        "parallel_scan_states": par["scan_states"],
+    }
+
+
+def counter_deltas(session, work):
+    """Run ``work()`` → ``(its result, {Report field: counter delta})``.
+
+    The one place a batch's cache and oracle counters are measured:
+    :meth:`Session._run_batch` passes the deltas straight to
+    :class:`Report`, and process shards return them for the parent to
+    sum by key.
+    """
+    before = _counters(session)
+    result = work()
+    after = _counters(session)
+    return result, {name: after[name] - before[name] for name in after}
 
 
 def default_backends(max_set_size=None):
@@ -665,58 +699,30 @@ class Session:
         pending = [
             (i, t) for i, t in enumerate(normalized) if i not in reused
         ]
-        info = self.oracle.cache_info()
-        images = self.images.stats()
-        compiles = self.compiles.stats()
-        methods = self.oracle.method_counts()
-        par = self.engine.parallel_stats()
         started = _task_mod.clock()
-        if max_workers is not None and max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                fresh = list(
-                    pool.map(
-                        lambda it: self._run_task(it[1], backends, budgets), pending
+
+        def run():
+            if max_workers is not None and max_workers > 1:
+                with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                    return list(
+                        pool.map(
+                            lambda it: self._run_task(it[1], backends, budgets),
+                            pending,
+                        )
                     )
-                )
-        else:
-            fresh = [self._run_task(t, backends, budgets) for _, t in pending]
+            return [self._run_task(t, backends, budgets) for _, t in pending]
+
+        fresh, deltas = counter_deltas(self, run)
         elapsed = _task_mod.clock() - started
         results = dict(reused)
         for (index, _), result in zip(pending, fresh):
             results[index] = result
-        after = self.oracle.cache_info()
-        images_after = self.images.stats()
-        compiles_after = self.compiles.stats()
-        methods_after = self.oracle.method_counts()
-        par_after = self.engine.parallel_stats()
-        # subtree-level reuse: compiled closures, image rows and
-        # entailment verdicts served from cache during this batch (the
-        # mask tier shadows the image tier, so it is not double-counted)
-        artifacts_reused = (
-            (after["hits"] - info["hits"])
-            + (images_after["hits"] - images["hits"])
-            + (compiles_after["hits"] - compiles["hits"])
-        )
         return Report(
             tuple(results[i] for i in range(len(normalized))),
             elapsed=elapsed,
-            entailment_cache_hits=after["hits"] - info["hits"],
-            entailment_cache_misses=after["misses"] - info["misses"],
-            image_cache_hits=images_after["hits"] - images["hits"],
-            image_cache_misses=images_after["misses"] - images["misses"],
-            image_cache_evictions=images_after["evictions"] - images["evictions"],
-            image_mask_hits=images_after["mask_hits"] - images["mask_hits"],
-            image_mask_misses=images_after["mask_misses"] - images["mask_misses"],
-            entailment_sat_decisions=methods_after.get("sat", 0)
-            - methods.get("sat", 0),
-            entailment_brute_decisions=methods_after.get("brute", 0)
-            - methods.get("brute", 0),
             fingerprint_hits=fingerprint_hits,
             cone_invalidations=cone_invalidations,
-            artifacts_reused=artifacts_reused,
-            parallel_blocks=par_after["blocks"] - par["blocks"],
-            blocks_cancelled=par_after["cancelled"] - par["cancelled"],
-            parallel_scan_states=par_after["scan_states"] - par["scan_states"],
+            **deltas,
         )
 
     # -- incremental re-verification ---------------------------------------

@@ -33,11 +33,12 @@ and reassembled by index).
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..codec import WireError, from_wire, to_wire
 from . import task as _task_mod
+from .session import Report, Session, TaskResult, counter_deltas
 
 #: Upper bound on the default shard count — beyond a handful of shards
 #: the per-shard image/entailment caches stop amortizing.
@@ -93,8 +94,6 @@ class SessionSpec:
         )
 
     def build(self):
-        from .session import Session
-
         return Session(
             self.pvars,
             lo=self.lo,
@@ -136,17 +135,20 @@ def _init_worker(spec):
     _WORKER_SESSION = spec.build()
 
 
-def _run_chunk(chunk, budgets, transport_proofs):
-    """Verify one chunk of task documents → outcome documents + cache delta.
-
-    With ``transport_proofs=False`` proof trees are stripped before
-    encoding (the pre-codec behavior, kept as a benchmark baseline so
-    ``benchmarks/bench_fuzz_shard.py`` can bound the cost of full proof
-    transport).
-    """
+def _run_chunk(chunk, budgets):
+    """Verify one chunk of task documents → outcome documents + the
+    worker session's counter deltas (keyed by ``Report`` field)."""
     session = _WORKER_SESSION
+
+    def run():
+        out = []
+        for index, document in chunk:
+            result = session._run_task(from_wire(document), None, budgets)
+            out.append((index, [to_wire(o) for o in result.outcomes]))
+        return out
+
     try:
-        return _run_chunk_inner(session, chunk, budgets, transport_proofs)
+        return counter_deltas(session, run)
     finally:
         # tear the nested intra-task pool down while this shard worker is
         # still alive: leaving it to interpreter-exit atexit hooks
@@ -155,59 +157,12 @@ def _run_chunk(chunk, budgets, transport_proofs):
         session.engine.close()
 
 
-def _run_chunk_inner(session, chunk, budgets, transport_proofs):
-    before = session.oracle.cache_info()
-    images_before = session.images.stats()
-    compiles_before = session.compiles.stats()
-    methods_before = session.oracle.method_counts()
-    par_before = session.engine.parallel_stats()
-    out = []
-    for index, document in chunk:
-        task = from_wire(document)
-        result = session._run_task(task, None, budgets)
-        encoded = []
-        for outcome in result.outcomes:
-            if not transport_proofs and outcome.proof is not None:
-                outcome = replace(outcome, proof=None)
-            encoded.append(to_wire(outcome))
-        out.append((index, encoded))
-    after = session.oracle.cache_info()
-    images_after = session.images.stats()
-    compiles_after = session.compiles.stats()
-    methods_after = session.oracle.method_counts()
-    par_after = session.engine.parallel_stats()
-    delta = (
-        after["hits"] - before["hits"],
-        after["misses"] - before["misses"],
-        images_after["hits"] - images_before["hits"],
-        images_after["misses"] - images_before["misses"],
-        images_after["evictions"] - images_before["evictions"],
-        methods_after.get("sat", 0) - methods_before.get("sat", 0),
-        methods_after.get("brute", 0) - methods_before.get("brute", 0),
-        images_after["mask_hits"] - images_before["mask_hits"],
-        images_after["mask_misses"] - images_before["mask_misses"],
-        # subtree-level reuse inside this worker: entailment + image +
-        # compile cache hits, mirroring the inline artifacts_reused
-        (after["hits"] - before["hits"])
-        + (images_after["hits"] - images_before["hits"])
-        + (compiles_after["hits"] - compiles_before["hits"]),
-        # intra-task parallelism inside this shard (zero unless the
-        # spec carries intra_task_workers)
-        par_after["blocks"] - par_before["blocks"],
-        par_after["cancelled"] - par_before["cancelled"],
-        par_after["scan_states"] - par_before["scan_states"],
-    )
-    return out, delta
-
-
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
 
 
-def verify_many_sharded(
-    session, tasks, shards=None, backends=None, budgets=None, transport_proofs=True
-):
+def verify_many_sharded(session, tasks, shards=None, backends=None, budgets=None):
     """Run a batch over ``shards`` worker processes → a :class:`Report`.
 
     The parent normalizes and encodes every task (so parse and encoding
@@ -216,8 +171,6 @@ def verify_many_sharded(
     documents by index.  The decoded outcomes — proofs and witnesses
     included — compare equal to what an inline run produces.
     """
-    from .session import Report, TaskResult
-
     if backends is not None:
         raise ValueError(
             "process sharding cannot ship per-call backend overrides; "
@@ -236,54 +189,19 @@ def verify_many_sharded(
     chunks = [encoded[k::shards] for k in range(shards)]
     started = _task_mod.clock()
     outcomes_by_index = {}
-    hits = misses = 0
-    image_hits = image_misses = image_evictions = 0
-    sat_decisions = brute_decisions = 0
-    mask_hits = mask_misses = 0
-    artifacts_reused = 0
-    parallel_blocks = blocks_cancelled = parallel_scan_states = 0
+    totals = {}
     with ProcessPoolExecutor(
         max_workers=shards, initializer=_init_worker, initargs=(spec,)
     ) as pool:
-        futures = [
-            pool.submit(_run_chunk, chunk, allowances, transport_proofs)
-            for chunk in chunks
-        ]
+        futures = [pool.submit(_run_chunk, chunk, allowances) for chunk in chunks]
         for future in futures:
-            rows, chunk_delta = future.result()
-            hits += chunk_delta[0]
-            misses += chunk_delta[1]
-            image_hits += chunk_delta[2]
-            image_misses += chunk_delta[3]
-            image_evictions += chunk_delta[4]
-            sat_decisions += chunk_delta[5]
-            brute_decisions += chunk_delta[6]
-            mask_hits += chunk_delta[7]
-            mask_misses += chunk_delta[8]
-            artifacts_reused += chunk_delta[9]
-            parallel_blocks += chunk_delta[10]
-            blocks_cancelled += chunk_delta[11]
-            parallel_scan_states += chunk_delta[12]
+            rows, deltas = future.result()
+            for name, value in deltas.items():
+                totals[name] = totals.get(name, 0) + value
             for index, documents in rows:
                 outcomes_by_index[index] = tuple(from_wire(d) for d in documents)
     elapsed = _task_mod.clock() - started
     results = tuple(
         TaskResult(task, outcomes_by_index[i]) for i, task in enumerate(normalized)
     )
-    return Report(
-        results,
-        elapsed=elapsed,
-        entailment_cache_hits=hits,
-        entailment_cache_misses=misses,
-        image_cache_hits=image_hits,
-        image_cache_misses=image_misses,
-        image_cache_evictions=image_evictions,
-        entailment_sat_decisions=sat_decisions,
-        entailment_brute_decisions=brute_decisions,
-        image_mask_hits=mask_hits,
-        image_mask_misses=mask_misses,
-        artifacts_reused=artifacts_reused,
-        parallel_blocks=parallel_blocks,
-        blocks_cancelled=blocks_cancelled,
-        parallel_scan_states=parallel_scan_states,
-    )
+    return Report(results, elapsed=elapsed, **totals)

@@ -49,9 +49,9 @@ the merge keeps verdict/witness/``checked_sets`` byte-identical to the
 serial scan (the canonical counterexample is the *lowest-index*
 refutation across blocks).
 
-Since the bitset core (default ``bitset=True``), ``Δ`` is not merely
-``O(1)`` set operations but **machine-word operations on Python ints**:
-every extended state is interned to a dense id
+Compiled engines run on the **bitset core**: ``Δ`` is not merely
+``O(1)`` set operations but **machine-word operations on Python ints**.
+Every extended state is interned to a dense id
 (:meth:`~repro.checker.universe.Universe.index_of`), candidate sets and
 image unions are int bitmasks, and each enumeration step is ``mask |
 bit`` / ``acc | image_mask`` — no per-element hashing, no frozenset
@@ -61,15 +61,14 @@ that it scales with ``n/64`` words, still orders of magnitude below a
 frozenset union.  :meth:`CheckerEngine.scan_masks` is the mask-native
 enumeration; public results (:class:`CheckResult` witnesses) decode
 masks back to frozensets only at the boundary, so the API and the
-enumeration order are byte-identical to the frozenset engine
-(``bitset=False``), which survives as benchmark baseline and as the
-``bitset-vs-frozenset`` differential-fuzz foil.
+enumeration order are those of :func:`candidate_initial_sets`.
 
-Construct the engine with ``compiled=False`` to get the pre-compile
-behavior (interpreted ``holds`` per candidate set, interpreted big-step
-execution): enumeration order, verdicts, witnesses and ``checked_sets``
-are **identical** in both modes — only the cost differs — which the
-cross-validation tests, ``benchmarks/bench_checker_engine.py`` and the
+Construct the engine with ``compiled=False`` to get the reference
+implementation (interpreted ``holds`` per candidate set, interpreted
+big-step execution, frozenset unions): enumeration order, verdicts,
+witnesses and ``checked_sets`` are **identical** in both modes — only
+the cost differs — which the cross-validation tests,
+``benchmarks/bench_checker_engine.py`` and the
 ``compiled-vs-interpreted`` differential fuzz check enforce.  The naive
 reference implementations retained in :mod:`repro.checker.validity`
 remain fully interpreted end to end.
@@ -414,7 +413,7 @@ def state_prefilter_mask(pre, universe, compile_cache=None):
     precondition-satisfying set; ``None`` means no pruning applies.  The
     bitset engine intersects candidate enumeration with this mask — the
     surviving ids keep their ascending order, so the enumeration order
-    matches the frozenset engine's filtered-tuple walk exactly.
+    matches the interpreted engine's filtered-tuple walk exactly.
     """
     keep = state_prefilter(pre, universe.domain, compile_cache)
     if keep is None:
@@ -501,19 +500,12 @@ class CheckerEngine:
         (default: the module-wide cache).
     compiled:
         ``True`` (default) routes evaluation through the compile-once
-        layer; ``False`` reproduces the pre-compile interpreted engine —
-        same enumeration order, verdicts, witnesses and
-        ``checked_sets``, used as a benchmark baseline and by the
+        layer and enumerates on the interned bitset core — candidate
+        sets and image unions are int masks, the per-step Δ a
+        machine-word op (see :meth:`scan_masks`).  ``False`` is the
+        interpreted reference engine — same enumeration order,
+        verdicts, witnesses and ``checked_sets``, used by the
         ``compiled-vs-interpreted`` conformance check.
-    bitset:
-        ``True`` (default) runs the compiled enumeration on the interned
-        bitset core — candidate sets and image unions are int masks, the
-        per-step Δ a machine-word op (see :meth:`scan_masks`).
-        ``False`` is the escape hatch to the frozenset recursion: same
-        enumeration order, verdicts, witnesses and ``checked_sets``,
-        used as a benchmark baseline and by the ``bitset-vs-frozenset``
-        conformance check.  Ignored (no bitset core) in interpreted
-        mode.
     parallel:
         ``None`` (default) scans serially.  An integer ``P >= 2``
         partitions each large-enough :meth:`check` scan into contiguous
@@ -522,7 +514,7 @@ class CheckerEngine:
         (:class:`~repro.checker.parallel.ParallelScanner`); the merge
         accepts the lowest-index refutation, so verdict, witness and
         ``checked_sets`` stay byte-identical to the serial scan.
-        Requires the compiled bitset engine; ineligible scans (pinned
+        Requires the compiled engine; ineligible scans (pinned
         ``EqualsSet`` preconditions, non-wire-encodable assertions,
         universes off the ``SessionSpec`` grid, scans smaller than
         ``parallel_min_candidates``) silently run serially.
@@ -539,12 +531,11 @@ class CheckerEngine:
     PARALLEL_MIN_CANDIDATES = 4096
 
     def __init__(self, universe, cache=None, compile_cache=None, compiled=True,
-                 bitset=True, parallel=None, parallel_min_candidates=None):
+                 parallel=None, parallel_min_candidates=None):
         self.universe = universe
         self.cache = cache if cache is not None else ImageCache()
         self.compiles = compile_cache
-        self.compiled = compiled
-        self.bitset = bool(bitset) and bool(compiled)
+        self.compiled = bool(compiled)
         self.parallel = parallel if parallel and parallel >= 2 else None
         self.parallel_min_candidates = (
             self.PARALLEL_MIN_CANDIDATES
@@ -558,7 +549,7 @@ class CheckerEngine:
     def _parallel_scanner(self):
         """The lazily-built :class:`~repro.checker.parallel.ParallelScanner`
         behind ``parallel=P`` engines, or ``None``."""
-        if self.parallel is None or not self.bitset:
+        if self.parallel is None or not self.compiled:
             return None
         if self._scanner is None:
             from .parallel import ParallelScanner
@@ -696,9 +687,8 @@ class CheckerEngine:
         projection caches; only shapes with no mask specialization
         decode at the boundary.
 
-        Requires the compiled bitset engine (``compiled=True`` and
-        ``bitset=True``); callers wanting frozensets use :meth:`scan`,
-        which decodes each yield.
+        Requires the compiled engine; callers wanting frozensets use
+        :meth:`scan`, which decodes each yield.
 
         The three resumption parameters exist for the partitioned scan
         (:mod:`repro.checker.parallel`): ``start`` skips the first
@@ -713,8 +703,8 @@ class CheckerEngine:
         """
         from ..assertions.semantic import EqualsSet
 
-        if not self.bitset:
-            raise ValueError("scan_masks requires a compiled bitset engine")
+        if not self.compiled:
+            raise ValueError("scan_masks requires a compiled engine")
         universe = self.universe
         domain = universe.domain
         mask_of = universe.mask_of
@@ -779,9 +769,13 @@ class CheckerEngine:
                 const[which] = value
             return value
 
-        # Lazy post flush, as in the frozenset recursion: each edge
-        # parks its *new-states* mask; only a pre-passing leaf pushes
-        # the unflushed suffix.  Flushed entries form a stack prefix.
+        # Post images are pushed *lazily*: each enumeration edge parks
+        # its *new-states* mask on this stack, and only a leaf whose
+        # subset passed the precondition flushes the unflushed suffix
+        # into the post evaluator — pre-rejected branches (the common
+        # case) cost the post assertion nothing.  Flushed entries always
+        # form a prefix of the stack (ancestors flush before
+        # descendants), so one prefix-length counter suffices.
         pend = []
         flushed = [0]
 
@@ -885,25 +879,23 @@ class CheckerEngine:
         executions per yield, and an early refutation leaves the rest
         unexecuted.
 
-        In compiled mode the pre/post decisions ride incremental
-        evaluators pushed and popped along the recursion; in interpreted
-        mode (``compiled=False``) each candidate re-walks ``holds``.
-        The yielded triples are identical either way.
+        In compiled mode this is a decoding wrapper over
+        :meth:`scan_masks` — identical triples, paid per yield; bulk
+        consumers that only need verdicts (``check``, the exhaustive
+        backend) walk the masks directly and decode refutations only.
+        In interpreted mode (``compiled=False``) each candidate unions
+        frozenset images and re-walks ``holds``.  The yielded triples
+        are identical either way.
 
         ``pin_equals_set=False`` disables the ``EqualsSet``
         single-candidate shortcut and enumerates universe subsets like
         any other precondition — required where the pinned target may
         contain states outside the universe (the terminating check's
         Def. 24 quantifier only ranges over universe subsets).
-
-        On a bitset engine this is a decoding wrapper over
-        :meth:`scan_masks` — identical triples, paid per yield; bulk
-        consumers that only need verdicts (``check``, the exhaustive
-        backend) walk the masks directly and decode refutations only.
         """
         from ..assertions.semantic import EqualsSet
 
-        if self.bitset:
+        if self.compiled:
             states_of = self.universe.states_of
             for chosen, acc, ok in self.scan_masks(
                 pre, command, post, max_size, max_states, prefilter,
@@ -917,7 +909,6 @@ class CheckerEngine:
             return
 
         domain = self.universe.domain
-        compiled = self.compiled
         if pin_equals_set and isinstance(pre, EqualsSet):
             if max_size is not None and len(pre.target) > max_size:
                 return
@@ -926,17 +917,11 @@ class CheckerEngine:
                 yield subset, None, True
                 return
             post_set = self.sem(command, subset, max_states)
-            if compiled:
-                ok = bool(self._compile(post).holds(post_set))
-            else:
-                ok = bool(post.holds(post_set, domain))
-            yield subset, post_set, ok
+            yield subset, post_set, bool(post.holds(post_set, domain))
             return
         states = self.universe.ext_states()
         if prefilter:
-            keep = state_prefilter(
-                pre, domain, self.compiles if compiled else False
-            )
+            keep = state_prefilter(pre, domain, False)
             if keep is not None:
                 states = tuple(phi for phi in states if keep(phi))
         table = {}
@@ -949,76 +934,12 @@ class CheckerEngine:
             return image
 
         cap = len(states) if max_size is None else min(max_size, len(states))
-        if not compiled:
-            for k in range(cap + 1):
-                for subset, post_set in _sized_unions(states, img, k):
-                    if not pre.holds(subset, domain):
-                        yield subset, None, True
-                        continue
-                    yield subset, post_set, bool(post.holds(post_set, domain))
-            return
-
-        cpre = self._compile(pre)
-        cpost = self._compile(post)
-        pre_eval = cpre.evaluator()
-        post_eval = cpost.evaluator()
-        # set-constant assertions need no evaluator traffic at all
-        pre_const = cpre.constant
-        post_const = cpost.constant
-        n = len(states)
-        chosen = []
-        # Post images are pushed *lazily*: each enumeration edge parks
-        # its image on this stack, and only a leaf whose subset passed
-        # the precondition flushes the unflushed suffix into the post
-        # evaluator — pre-rejected branches (the common case) cost the
-        # post assertion nothing, mirroring the interpreter, which never
-        # evaluates ``post`` for them at all.  Flushed entries always
-        # form a prefix of the stack (ancestors flush before
-        # descendants), so one prefix-length counter suffices.
-        post_pending = []
-        flushed = [0]
-
-        def flush_post():
-            for entry in post_pending[flushed[0]:]:
-                entry[1] = post_eval.push_many(entry[0])
-            flushed[0] = len(post_pending)
-
-        def rec(start, union, k):
-            need = k - len(chosen)
-            if need == 0:
-                subset = frozenset(chosen)
-                if not pre_eval.value():
-                    yield subset, None, True
-                else:
-                    if not post_const:
-                        flush_post()
-                    yield subset, union, post_eval.value()
-                return
-            for i in range(start, n - need + 1):
-                phi = states[i]
-                image = img(phi)
-                chosen.append(phi)
-                if not pre_const:
-                    pre_eval.push_state(phi)
-                if post_const:
-                    for item in rec(i + 1, union | image, k):
-                        yield item
-                else:
-                    entry = [image, None]
-                    post_pending.append(entry)
-                    for item in rec(i + 1, union | image, k):
-                        yield item
-                    post_pending.pop()
-                    if entry[1] is not None:
-                        post_eval.pop_many(entry[1])
-                        flushed[0] = len(post_pending)
-                if not pre_const:
-                    pre_eval.pop_state(phi)
-                chosen.pop()
-
         for k in range(cap + 1):
-            for item in rec(0, frozenset(), k):
-                yield item
+            for subset, post_set in _sized_unions(states, img, k):
+                if not pre.holds(subset, domain):
+                    yield subset, None, True
+                    continue
+                yield subset, post_set, bool(post.holds(post_set, domain))
 
     # -- checks ------------------------------------------------------------
     def check(self, pre, command, post, max_size=None, max_states=100000,
@@ -1032,7 +953,7 @@ class CheckerEngine:
         fall through to the serial path below.
         """
         checked = 0
-        if self.bitset:
+        if self.compiled:
             scanner = self._parallel_scanner()
             if scanner is not None:
                 outcome = scanner.run(
@@ -1065,7 +986,7 @@ class CheckerEngine:
         final state" — the latter a cache hit, since the enumeration has
         already computed each member's image."""
         checked = 0
-        if self.bitset:
+        if self.compiled:
             states = self.universe.ext_states()
             states_of = self.universe.states_of
             term = {}
@@ -1147,14 +1068,8 @@ class CheckerEngine:
         return CheckResult(True, checked_sets=checked)
 
     def __repr__(self):
-        if not self.compiled:
-            mode = "interpreted"
-        elif self.bitset:
-            mode = "compiled+bitset"
-        else:
-            mode = "compiled"
         return "CheckerEngine(%r, cache=%d images, %s)" % (
             self.universe,
             len(self.cache),
-            mode,
+            "compiled" if self.compiled else "interpreted",
         )

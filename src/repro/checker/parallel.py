@@ -27,7 +27,7 @@ tiled into contiguous index blocks and scanned independently:
    which the ``parallel-vs-sequential`` conformance check enforces over
    the fuzz stream.
 
-Scans are eligible when the engine is the compiled bitset engine over a
+Scans are eligible when the engine is the compiled (bitset) engine over a
 plain ``SessionSpec``-expressible universe (:class:`IntRange` grid, no
 custom logical-variable domain), the assertions are wire-encodable
 (semantic lambdas cannot cross a process boundary), the precondition is

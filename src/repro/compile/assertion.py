@@ -11,10 +11,11 @@ Assertion` once into a :class:`CompiledAssertion` offering two modes:
   no per-binding environment copies: quantifiers mutate one shared
   environment dict and restore it on exit);
 - **incremental**: ``evaluator()`` returns a :class:`SetEvaluator` with
-  ``push(φ)`` / ``push_many(φs)`` / ``pop()`` / ``value()`` so the
-  engine decides each candidate set in ``O(Δ)`` work as the enumeration
-  extends a prefix by one state, instead of re-walking the assertion
-  over the whole set.
+  ``push_state(φ)`` / ``pop_state(φ)`` / ``value()`` so the engine's
+  mask scan decides each candidate set in ``O(Δ)`` work as the
+  enumeration extends a prefix by one state (and the post-set by the
+  states its image adds), instead of re-walking the assertion over the
+  whole set.
 
 Incremental evaluation is *compositional*: boolean structure, finite
 value quantifiers (sunk into the compiled body, or expanded over the
@@ -1015,11 +1016,13 @@ def _is_set_constant(assertion):
 class SetEvaluator:
     """Incremental evaluation of one assertion along a push/pop walk.
 
-    The evaluator tracks a *multiset* of states (images overlap, so the
-    engine's post-set unions push the same state repeatedly); kernels
-    see only distinct-set transitions.  ``push``/``pop`` **must nest
-    LIFO** — exactly how the engine's subset recursion uses them; the
-    kernels' O(1) backtracking journals rely on it.
+    The evaluator tracks a *multiset* of states (``push`` may repeat a
+    state); kernels see only distinct-set transitions.  The engine's
+    mask scan pushes only states not yet present, through
+    ``push_state``/``pop_state``, which lets fully-incremental plans skip
+    the multiset bookkeeping.  Pushes and pops **must nest LIFO** —
+    exactly how the engine's subset recursion uses them; the kernels'
+    O(1) backtracking journals rely on it.
     """
 
     __slots__ = ("counts", "_stack", "_root", "_fast")
@@ -1066,21 +1069,6 @@ class SetEvaluator:
         if count == 1:
             self._root.add(phi)
 
-    def push_many(self, phis):
-        """Push every state of ``phis``; returns the count to pop."""
-        counts = self.counts
-        stack = self._stack
-        root_add = self._root.add
-        pushed = 0
-        for phi in phis:
-            count = counts.get(phi, 0) + 1
-            counts[phi] = count
-            stack.append(phi)
-            if count == 1:
-                root_add(phi)
-            pushed += 1
-        return pushed
-
     def pop(self):
         """Undo the most recent push."""
         counts = self.counts
@@ -1091,20 +1079,6 @@ class SetEvaluator:
         else:
             del counts[phi]
             self._root.remove(phi)
-
-    def pop_many(self, pushed):
-        """Undo the ``pushed`` most recent pushes."""
-        counts = self.counts
-        stack = self._stack
-        root_remove = self._root.remove
-        for _ in range(pushed):
-            phi = stack.pop()
-            count = counts[phi] - 1
-            if count:
-                counts[phi] = count
-            else:
-                del counts[phi]
-                root_remove(phi)
 
     def value(self):
         """Truth of the assertion on the current distinct set."""

@@ -12,16 +12,12 @@ on one generated trial at a time:
     match).
 ``compiled-vs-interpreted``
     The compiled engine (closure-compiled commands, incremental
-    assertion evaluators) and an interpreted engine
-    (``compiled=False``) must return the same verdict, witness *and*
-    ``checked_sets`` — the enumeration is specified to be identical, so
-    every fuzz trial guards the compile layer for free.
-``bitset-vs-frozenset``
-    The bitset engine (id-interned states, candidate sets as int
-    bitmasks) vs the same compiled engine with the ``bitset=False``
-    escape hatch: verdict, witness and ``checked_sets`` must survive
-    the representation swap byte-identically — this is the guard for
-    the id-order quantifier iteration the mask evaluators use.
+    assertion evaluators, candidate sets as int bitmasks over
+    id-interned states) and the interpreted reference engine
+    (``compiled=False``, frozenset unions) must return the same
+    verdict, witness *and* ``checked_sets`` — the enumeration is
+    specified to be identical, so every fuzz trial guards the compile
+    layer and the bitset representation for free.
 ``terminating-engine-vs-naive``
     Same, for the Def. 24 terminating check.
 ``sampled-engine-vs-naive``
@@ -116,7 +112,6 @@ _AUX_SALT = 0x5EED
 CHECK_KINDS = (
     "engine-vs-naive",
     "compiled-vs-interpreted",
-    "bitset-vs-frozenset",
     "terminating-engine-vs-naive",
     "sampled-engine-vs-naive",
     "syntactic-vs-oracle",
@@ -224,15 +219,6 @@ class DifferentialChecker:
         self.interpreted_engine = CheckerEngine(
             self.universe, ImageCache(), compiled=False
         )
-        # the bitset escape hatch: same compiled evaluators, frozenset
-        # enumeration — shares the session's caches, so the only delta
-        # under test is the id-bitmask representation itself
-        self.frozenset_engine = CheckerEngine(
-            self.universe,
-            self.session.images,
-            compile_cache=self.session.compiles,
-            bitset=False,
-        )
         self.embeddings = embeddings
         self.samples = samples
         self.checks = None if checks is None else tuple(checks)
@@ -336,42 +322,6 @@ class DifferentialChecker:
                 "compilation changed the enumeration: compiled checked %d "
                 "sets, interpreted checked %d"
                 % (compiled.checked_sets, interpreted.checked_sets)
-            )
-        return None
-
-    def bitset_disagreement(self, triple, oracle=None):
-        """The bitset engine vs the same engine with ``bitset=False``.
-
-        The id-bitmask enumeration is specified to visit the same
-        candidates in the same size-ordered sequence as the frozenset
-        recursion, so verdict, witness *and* ``checked_sets`` must all
-        survive the representation swap byte-identically.
-        """
-        bitset = self._oracle(triple, oracle)
-        plain = self.frozenset_engine.check(triple.pre, triple.command, triple.post)
-        if bitset.valid != plain.valid:
-            return "bitset engine says %s, frozenset engine says %s" % (
-                _verdict(bitset.valid),
-                _verdict(plain.valid),
-            )
-        if (
-            bitset.witness_pre != plain.witness_pre
-            or bitset.witness_post != plain.witness_post
-        ):
-            return (
-                "bitset and frozenset verdicts agree (%s) but witnesses "
-                "differ: %r vs %r"
-                % (
-                    _verdict(bitset.valid),
-                    (bitset.witness_pre, bitset.witness_post),
-                    (plain.witness_pre, plain.witness_post),
-                )
-            )
-        if bitset.checked_sets != plain.checked_sets:
-            return (
-                "the mask enumeration drifted: bitset checked %d sets, "
-                "frozenset checked %d"
-                % (bitset.checked_sets, plain.checked_sets)
             )
         return None
 
@@ -752,7 +702,6 @@ class DifferentialChecker:
 
         run("engine-vs-naive", self.oracle_disagreement, shrink_triple)
         run("compiled-vs-interpreted", self.compiled_disagreement, shrink_triple)
-        run("bitset-vs-frozenset", self.bitset_disagreement, shrink_triple)
         run(
             "terminating-engine-vs-naive",
             lambda t, _: self.terminating_disagreement(t),

@@ -6,8 +6,8 @@ build the analogous pipeline from scratch:
 
 1. :mod:`repro.solver.formula` — propositional formula AST;
 2. :mod:`repro.solver.cnf`     — Tseitin transformation to CNF;
-3. :mod:`repro.solver.sat`     — a DPLL solver with unit propagation and
-   two-watched-literal clause indexing;
+3. :mod:`repro.solver.sat`     — a CDCL solver over two-watched-literal
+   propagation, one-shot and incremental;
 4. :mod:`repro.solver.encode`  — grounding of syntactic hyper-assertions
    over a finite universe into propositional formulas over set-membership
    atoms, reducing ``P |= Q`` to UNSAT of ``P ∧ ¬Q``.

@@ -10,7 +10,7 @@ grounds as:
 - closed atomic comparisons evaluate to constants.
 
 ``P |= Q`` then reduces to UNSAT of ``⟦P⟧ ∧ ¬⟦Q⟧`` — the same shape of
-reduction the Hypra verifier performs with Z3, here with our own DPLL.
+reduction the Hypra verifier performs with Z3, here with our own CDCL solver.
 
 The grounding pass is compile-once per query: each distinct comparison
 leaf is lowered to a closure (:func:`repro.compile.hyper.compile_hexpr`)

@@ -1,12 +1,12 @@
-"""A CDCL SAT solver (with the historical DPLL kept as a baseline).
+"""A CDCL SAT solver.
 
-The default ``propagation="watched"`` mode is conflict-driven clause
-learning: two-watched-literal unit propagation, first-UIP conflict
-analysis, non-chronological backjumping, VSIDS-style variable
-activities seeded with Jeroslow-Wang scores, phase saving, Luby-paced
-restarts and LBD-based learned-clause-database reduction.  The search
-runs on an explicit trail rather than Python recursion, so deep splits
-on hundreds of variables cannot hit the interpreter's recursion limit.
+The search is conflict-driven clause learning: two-watched-literal unit
+propagation, first-UIP conflict analysis, non-chronological
+backjumping, VSIDS-style variable activities seeded with Jeroslow-Wang
+scores, phase saving, Luby-paced restarts and LBD-based
+learned-clause-database reduction.  The search runs on an explicit
+trail rather than Python recursion, so deep splits on hundreds of
+variables cannot hit the interpreter's recursion limit.
 
 The CDCL machinery lives in :class:`IncrementalSolver`, a *persistent*
 solver: clauses, watches, activities, saved phases and — decisively —
@@ -23,24 +23,12 @@ issues.  :class:`SATSolver` is the one-shot facade over the same
 machinery (plus root pure-literal elimination, which is only sound
 when no further clauses can arrive).
 
-The original solver survives untouched behind ``propagation="rescan"``:
-learning-free DPLL — full-clause rescan propagation to fixpoint,
-chronological backtracking, branching on the literal most frequent
-among currently unsatisfied clauses (recomputed by rescanning every
-clause at every decision) — kept as the baseline
-``benchmarks/bench_solver.py`` measures against.  That combination
-priced the Fig. 4 GNI entailment pair at ~160s: ``O(decisions ×
-literals)`` spent on choosing alone, atop a learning-free search of
-tens of thousands of decisions.  CDCL decides the same pair in well
-under a second.
-
-Pure-literal elimination still runs once at the root in both one-shot
-modes.  Learned clauses are consequences of the original formula
-*plus* the root pure-literal assignments; since fixing a pure literal
-preserves satisfiability, verdicts are unaffected.  Both modes are
-cross-validated against brute-force truth-table enumeration in
-``tests/solver/test_sat.py``, and restart/reduction invariance plus
-assumption-incremental correctness in ``tests/checker/test_parallel.py``.
+Learned clauses are consequences of the original formula *plus* the
+root pure-literal assignments; since fixing a pure literal preserves
+satisfiability, verdicts are unaffected.  The solver is cross-validated
+against brute-force truth-table enumeration in
+``tests/solver/test_sat.py`` and ``tests/checker/test_parallel.py``,
+which also covers assumption-incremental correctness.
 """
 
 import heapq
@@ -99,25 +87,22 @@ class IncrementalSolver:
     every future query — the property the incremental entailment oracle
     is built on.
 
-    ``restarts`` enables Luby-paced restarts (the search abandons its
-    current decision stack after a conflict budget and retries with the
-    activities it has learned — saved phases make this cheap);
-    ``reduce_db`` enables periodic deletion of the worst half of the
-    learned clauses, ranked by literal-block distance (LBD — the number
-    of distinct decision levels in the clause; "glue" clauses with LBD
-    <= 2, binary clauses and clauses currently locked as reasons are
-    never deleted).  Both default on and neither affects verdicts,
-    which ``tests/checker/test_parallel.py`` asserts.
+    The search restarts on a Luby schedule (it abandons its current
+    decision stack after a conflict budget and retries with the
+    activities it has learned — saved phases make this cheap) and
+    periodically deletes the worst half of the learned clauses, ranked
+    by literal-block distance (LBD — the number of distinct decision
+    levels in the clause; "glue" clauses with LBD <= 2, binary clauses
+    and clauses currently locked as reasons are never deleted).
+    Neither affects verdicts.
 
     All tie-breaking is deterministic (no randomness anywhere), so
     verdicts, models and stats are reproducible run to run.
     """
 
-    def __init__(self, restarts=True, reduce_db=True, stats=None,
-                 activity=None, phase=None, seed_scores=True):
+    def __init__(self, stats=None, activity=None, phase=None,
+                 seed_scores=True):
         self.num_vars = 0
-        self.restarts = restarts
-        self.reduce_db = reduce_db
         self.seed_scores = seed_scores
         self.assign = {}
         self.level = {}
@@ -421,9 +406,7 @@ class IncrementalSolver:
         if not self.propagate_root():
             return None
         restart_num = 0
-        conflict_budget = (
-            _RESTART_BASE * _luby(restart_num) if self.restarts else None
-        )
+        conflict_budget = _RESTART_BASE * _luby(restart_num)
         conflicts_here = 0
         decisions_here = 0
         stats = self.stats
@@ -445,12 +428,10 @@ class IncrementalSolver:
                     self.lbd[id(learned)] = lbd
                 self._record(learned[0], learned)
                 stats["propagations"] += 1
-                if (self.reduce_db
-                        and self.conflicts_since_reduce >= self.reduce_limit):
+                if self.conflicts_since_reduce >= self.reduce_limit:
                     self._reduce()
                 continue
-            if (conflict_budget is not None
-                    and conflicts_here >= conflict_budget):
+            if conflicts_here >= conflict_budget:
                 stats["restarts"] += 1
                 restart_num += 1
                 conflict_budget = _RESTART_BASE * _luby(restart_num)
@@ -493,29 +474,15 @@ class IncrementalSolver:
 class SATSolver:
     """Decide satisfiability of a CNF given as integer-literal clauses.
 
-    ``propagation`` selects the search: ``"watched"`` (CDCL over
-    two-watched-literal propagation, default) or ``"rescan"`` (the
-    historical DPLL with full-clause rescan propagation).  Verdicts and
-    the ``stats`` keys (``decisions`` / ``propagations`` /
-    ``pure_literals``) mean the same thing in both modes; ``conflicts``
-    counts learned conflicts and stays 0 under ``"rescan"``, as do the
-    CDCL-only ``restarts`` / ``learned_deleted``.  Models may differ
-    between modes — both always satisfy the CNF.
-
-    ``restarts`` / ``reduce_db`` toggle the CDCL mode's Luby restarts
-    and learned-clause-database reduction (both default on, neither
-    affects verdicts); ``benchmarks/bench_solver.py`` measures the
-    with-vs-without deltas.
+    A one-shot CDCL search: the clause set is fixed at construction and
+    :meth:`solve` runs once over an :class:`IncrementalSolver`.
+    ``stats`` counts ``decisions`` / ``propagations`` /
+    ``pure_literals`` / ``conflicts`` / ``restarts`` /
+    ``learned_deleted``.
     """
 
-    def __init__(self, clauses, num_vars, propagation="watched",
-                 restarts=True, reduce_db=True):
-        if propagation not in ("watched", "rescan"):
-            raise SolverError("unknown propagation mode %r" % (propagation,))
+    def __init__(self, clauses, num_vars):
         self.num_vars = num_vars
-        self.propagation = propagation
-        self.restarts = restarts
-        self.reduce_db = reduce_db
         self.clauses = []
         for clause in clauses:
             clause = tuple(dict.fromkeys(clause))
@@ -556,11 +523,7 @@ class SATSolver:
 
     def solve(self, max_decisions=5_000_000):
         """A satisfying assignment ``{var: bool}`` or ``None`` if UNSAT."""
-        self._max_decisions = max_decisions
-        if self.propagation == "watched":
-            result = self._solve_watched()
-        else:
-            result = self._solve_rescan()
+        result = self._search(max_decisions)
         if result is None:
             return None
         # complete the assignment for unconstrained variables
@@ -568,20 +531,14 @@ class SATSolver:
             result.setdefault(v, False)
         return result
 
-    # -- CDCL (watched) mode --------------------------------------------------
-
-    def _solve_watched(self):
-        """One-shot facade over :class:`IncrementalSolver`.
-
-        Loads the clause set, runs root propagation and the root
+    def _search(self, max_decisions):
+        """Load the clause set, run root propagation and the root
         pure-literal fixpoint (sound here and only here: no further
-        clauses can arrive, so a literal pure now is pure forever),
-        then hands the search to the incremental machinery with the
+        clauses can arrive, so a literal pure now is pure forever), then
+        hand the search to the incremental machinery with the
         Jeroslow-Wang-seeded activities and phases.
         """
         inc = IncrementalSolver(
-            restarts=self.restarts,
-            reduce_db=self.reduce_db,
             stats=self.stats,
             activity=self._activity,
             phase=self._saved_phase,
@@ -606,7 +563,7 @@ class SATSolver:
             for lit in pures:
                 inc.assume_root(lit)
                 self.stats["pure_literals"] += 1
-        return inc.solve(max_decisions=self._max_decisions)
+        return inc.solve(max_decisions=max_decisions)
 
     def _pure_literals(self, assign):
         """Literals occurring in one polarity only among unsatisfied clauses."""
@@ -618,99 +575,6 @@ class SATSolver:
                 if abs(lit) not in assign:
                     polarity.add(lit)
         return [lit for lit in polarity if -lit not in polarity]
-
-    # -- rescan mode (historical baseline) -----------------------------------
-
-    def _solve_rescan(self):
-        root = self._propagate({})
-        if root is None:
-            return None
-        self._eliminate_pure_literals(root)
-        return self._search(root)
-
-    def _eliminate_pure_literals(self, assign):
-        """Assign every pure literal (one polarity only), to fixpoint.
-
-        Setting a literal whose complement never occurs in an unsatisfied
-        clause preserves satisfiability (it can only satisfy clauses);
-        doing so may expose further pure literals, hence the loop.
-        Mutates ``assign`` in place — pure assignments can never conflict.
-        """
-        while True:
-            pures = self._pure_literals(assign)
-            if not pures:
-                return
-            for lit in pures:
-                assign[abs(lit)] = lit > 0
-                self.stats["pure_literals"] += 1
-
-    def _search(self, assign):
-        """DPLL split search on an explicit stack (no Python recursion)."""
-        stack = [assign]
-        while stack:
-            current = self._propagate(stack.pop())
-            if current is None:
-                continue
-            lit = self._choose_literal(current)
-            if lit is None:
-                return current
-            self.stats["decisions"] += 1
-            if self.stats["decisions"] > self._max_decisions:
-                raise SolverError("decision budget exhausted")
-            # pushed in reverse so the positive phase is explored first,
-            # matching the order of the old recursive search
-            for choice in (-lit, lit):
-                trial = dict(current)
-                trial[abs(choice)] = choice > 0
-                stack.append(trial)
-        return None
-
-    def _propagate(self, assign):
-        """Unit propagation to fixpoint by full clause rescan; None on conflict."""
-        assign = dict(assign)
-        changed = True
-        while changed:
-            changed = False
-            for clause in self.clauses:
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in clause:
-                    value = assign.get(abs(lit))
-                    if value is None:
-                        unassigned = lit
-                        count += 1
-                        if count > 1:
-                            break
-                    elif value == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if count == 0:
-                    return None  # conflict
-                if count == 1:
-                    assign[abs(unassigned)] = unassigned > 0
-                    self.stats["propagations"] += 1
-                    changed = True
-        return assign
-
-    def _choose_literal(self, assign):
-        """The historical dynamic heuristic (rescan mode only): the
-        literal most frequent among currently unsatisfied clauses, or
-        ``None`` when every clause is satisfied.  ``O(literals)`` per
-        call — fine for the baseline, exactly what the CDCL mode's
-        activity heap exists to avoid."""
-        counts = defaultdict(int)
-        for clause in self.clauses:
-            if any(assign.get(abs(lit)) == (lit > 0) for lit in clause):
-                continue
-            for lit in clause:
-                if abs(lit) not in assign:
-                    counts[lit] += 1
-        if not counts:
-            return None
-        return max(counts, key=counts.get)
 
 
 def solve_cnf(cnf):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import (
-    Attempt,
     Budget,
     ExhaustiveBackend,
     LoopBackend,
@@ -65,7 +64,7 @@ class TestDispatch:
             backends=[ExhaustiveBackend(), SyntacticWPBackend()],
         )
         assert result.verified
-        assert result.decided_by.backend == "exhaustive"
+        assert result.outcome.backend == "exhaustive"
         assert result.method == "oracle"
 
     def test_chain_stops_at_first_decisive_outcome(self, security_session):
@@ -94,7 +93,7 @@ class TestDispatch:
         )
         assert result.verified
         assert undecided.calls == 1
-        assert result.decided_by.backend == "exhaustive"
+        assert result.outcome.backend == "exhaustive"
 
     def test_loop_task_skips_wp_and_is_decided_symbolically(self):
         # no invariant: wp skips the loop, the loop backend punts, and
@@ -103,7 +102,7 @@ class TestDispatch:
         s = Session(["x"], 0, 2)
         result = s.verify("exists <a>. true", LOOP_PROG, "forall <a>. a(x) == 0")
         assert result.verified
-        assert result.decided_by.backend == "symbolic"
+        assert result.outcome.backend == "symbolic"
 
     def test_loop_task_with_alternating_post_falls_back_to_oracle(self):
         # an alternating-quantifier post is outside the symbolic
@@ -115,50 +114,27 @@ class TestDispatch:
             "forall <a>, <b>. exists <c>. c(x) == a(x) && c(x) == b(x)",
         )
         assert result.verified
-        assert result.decided_by.backend == "exhaustive"
+        assert result.outcome.backend == "exhaustive"
         symbolic = [o for o in result.outcomes if o.backend == "symbolic"][0]
         assert "outside symbolic fragment" in symbolic.reason
 
-    def test_legacy_attempt_fields_read_back_verbatim(self):
-        """A legacy-constructed Attempt must not reinterpret its args:
-        the counterexample text, proof and assumptions read back exactly
-        even where the algebra has no slot for them."""
-        text = "counterexample:\n  initial set S:\n    ..."
-        with pytest.warns(DeprecationWarning):
-            attempt = Attempt(
-                "legacy",
-                False,
-                "m",
-                counterexample=text,
-                assumptions=("x |= y",),
-            )
-        assert attempt.counterexample == text
-        assert attempt.assumptions == ("x |= y",)
-        assert isinstance(attempt.outcome, Refuted)
-        assert text in attempt.outcome.note  # nothing lost at outcome level
+    def test_backend_returning_a_non_outcome_raises_type_error(
+        self, security_session
+    ):
+        """The chain accepts only Outcomes; anything else is a bug in
+        the backend, reported as a TypeError naming the bad value."""
 
-    def test_legacy_attempt_returning_backend_still_works(self, security_session):
-        """Third-party backends may still return deprecated Attempts."""
-
-        class LegacyBackend:
-            name = "legacy"
+        class BadBackend:
+            name = "bad"
 
             def supports(self, task):
                 return True
 
             def attempt(self, task, session, budget=None):
-                return Attempt(self.name, True, "legacy-method")
+                return (True, "not-an-outcome")
 
-        with pytest.warns(DeprecationWarning, match="Attempt is deprecated"):
-            result = security_session.verify(
-                "true", "skip", "true", backends=[LegacyBackend()]
-            )
-        assert result.verified
-        assert isinstance(result.outcome, Proved)
-        assert result.method == "legacy-method"
-        # and the deprecated view over the outcomes still reads the same
-        view = result.attempts[0]
-        assert view.verdict is True and view.backend == "legacy"
+        with pytest.raises(TypeError, match="must return an Outcome"):
+            security_session.verify("true", "skip", "true", backends=[BadBackend()])
 
 
 class TestLoopBackend:
@@ -166,7 +142,7 @@ class TestLoopBackend:
         s = Session(["x"], 0, 2)
         result = s.verify(LOW_X, LOOP_PROG, LOW_X, invariant=LOW_X)
         assert result.verified
-        assert result.decided_by.backend == "loop"
+        assert result.outcome.backend == "loop"
         assert result.method.startswith("loop-sync+")
         assert result.proof is not None
         assert "WhileSync" in result.proof.rules_used()
@@ -183,7 +159,7 @@ class TestLoopBackend:
             invariant="forall <a>. a(x) == 2",
         )
         assert result.verified
-        assert result.decided_by.backend == "symbolic"
+        assert result.outcome.backend == "symbolic"
         loop_outcome = [o for o in result.outcomes if o.backend == "loop"][0]
         assert isinstance(loop_outcome, Undecided)
         assert "invariant" in loop_outcome.reason
@@ -263,7 +239,7 @@ class TestSampledBackend:
             backends=[SampledBackend(max_size=1), ExhaustiveBackend()],
         )
         assert result.refuted
-        assert result.decided_by.backend == "exhaustive"
+        assert result.outcome.backend == "exhaustive"
         sampled = result.outcomes[0]
         assert isinstance(sampled, Undecided)
         assert "under-approximate" in sampled.reason

@@ -67,13 +67,6 @@ class TestShardedVerifyMany:
         assert refuted.witness.pre_set  # concrete refuting initial set
         assert "counterexample" in refuted.counterexample
 
-    def test_transport_proofs_false_is_the_elided_baseline(self):
-        report = verify_many_sharded(
-            fresh_session(), TASKS[:1], shards=1, transport_proofs=False
-        )
-        assert report[0].verified
-        assert report[0].proof is None
-
     def test_unknown_sharding_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown sharding"):
             fresh_session().verify_many(TASKS, sharding="carrier-pigeon")

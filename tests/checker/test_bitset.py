@@ -5,7 +5,7 @@ Hypothesis: (1) the mask helpers implement exactly the frozenset
 operations they replace, and (2) a universe's id interning is a
 bijection whose iteration order is the ``ext_states()`` order — so the
 mask engine's size-ordered enumeration visits candidates in the same
-sequence as the frozenset recursion.
+sequence as the interpreted engine's frozenset recursion.
 """
 
 from hypothesis import given

@@ -124,11 +124,12 @@ def lifo_walk_parity(assertion, domain, states, seed, steps=120):
     rng = random.Random(seed)
     for _ in range(steps):
         if reference and rng.random() < 0.45:
-            batch = reference.pop()
-            evaluator.pop_many(len(batch))
+            for _ in reference.pop():
+                evaluator.pop()
         else:
             batch = [rng.choice(states) for _ in range(rng.randint(1, 3))]
-            evaluator.push_many(batch)
+            for phi in batch:
+                evaluator.push(phi)
             reference.append(batch)
         current = frozenset(phi for batch in reference for phi in batch)
         assert evaluator.value() == bool(assertion.holds(current, domain)), (

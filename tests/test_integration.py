@@ -8,12 +8,12 @@ agree on its status:
 3. the Thm. 4 hyperproperty reading (C ∈ ⟦{P}C{Q}⟧ ⟺ valid),
 4. the Thm. 5 disproof machinery (disprovable ⟺ invalid).
 
-Plus end-to-end flows through the concrete syntax and the verifier.
+Plus end-to-end flows through the concrete syntax and the Session API.
 """
 
 from hypothesis import given, settings
 
-from repro import Verifier
+from repro import Session
 from repro.assertions import (
     TRUE_H,
     box,
@@ -82,8 +82,8 @@ class TestMetaTheoremCoherence:
 class TestEndToEnd:
     def test_full_security_story(self):
         """Parse → verify GNI → disprove NI → rebuild the disproof as a
-        checked derivation, all through the public facade."""
-        v = Verifier(["h", "l", "y"], 0, 1)
+        checked derivation, all through the public Session API."""
+        v = Session(["h", "l", "y"], 0, 1)
         pad = "y := nonDet(); l := h xor y"
         # GNI verified
         assert v.verify(
