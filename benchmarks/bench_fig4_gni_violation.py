@@ -38,7 +38,9 @@ from repro.values import IntRange
 BASELINE_S = 179.0
 
 #: Full mode must beat the recorded baseline by at least this factor.
-MIN_SPEEDUP = 3.0
+#: Before the binder-footprint memo the replay beat it 113-214x; with
+#: the memo and cached formula hashes, 7.7k-15k x (2-CPU container).
+MIN_SPEEDUP = 1000
 
 
 def setup(quick=False):

@@ -90,6 +90,11 @@ class State:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuild (and re-hash) on load: a pickled ``_hash`` would be
+        # stale in a process with another PYTHONHASHSEED
+        return (type(self), (self._items,))
+
     def __repr__(self):
         return "State({%s})" % ", ".join("%s=%r" % kv for kv in self._items)
 
@@ -111,6 +116,10 @@ class ExtState:
             h = hash((self.log, self.prog))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __reduce__(self):
+        # drop the cached hash: it is stale under another PYTHONHASHSEED
+        return (type(self), (self.log, self.prog))
 
     def pvar(self, name):
         """``φ_P(x)`` — the value of program variable ``x``."""

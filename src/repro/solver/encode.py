@@ -16,9 +16,25 @@ The grounding pass is compile-once per query: each distinct comparison
 leaf is lowered to a closure (:func:`repro.compile.hyper.compile_hexpr`)
 the first time it is seen, the per-state atom literals are built once
 up front, and quantifier instantiation mutates a single binding
-environment (set/restore) instead of copying a dict per instantiation —
-the ``U^depth × |D|^vals`` leaf evaluations are then plain closure
-calls.  The solver-facing entry points additionally key their atoms by
+environment (set/restore) instead of copying a dict per instantiation.
+
+Quantifier bodies are grounded once per *binder footprint*.  The
+grounded formula of a quantifier node depends on the enclosing
+bindings only through its free footprint: the ``φ_P(x)``/``φ_L(x)``
+reads of states bound outside the node and the value variables read
+from outside it (shadowing respected) — the membership literals inside
+it belong to its own binders.  Each pass computes a node's footprint
+the first time it meets the node and memoises the node's formula under
+the values that footprint reads.  GNI's wp
+``∀⟨φ1⟩∀v∀⟨φ2⟩∀v1∃⟨φ⟩∃v2. …`` thus grounds its ``∃⟨φ⟩`` node once per
+distinct ``(φ1(h), v, φ2(h))`` rather than once per binding of
+``φ1, v, φ2, v1`` (``|U|²·|D|²`` of them).  A footprint read that
+raises (an unbound variable) falls back to grounding the node directly,
+so errors are the ones the direct walk raises.  Memo hits return the
+same formula object, so the result is a DAG ``==`` to the tree the
+direct walk builds.
+
+The solver-facing entry points additionally key their atoms by
 the state's *interned id* (its position in the universe tuple), so the
 formula, CNF and DPLL layers hash machine ints instead of whole
 extended states.
@@ -79,16 +95,62 @@ def ground_assertion(
     return grounder.ground(assertion, dict(sigma_env or {}), dict(delta_env or {}))
 
 
+def _footprint(node):
+    """The free footprint of ``node``: ``(prog, log, values)``.
+
+    ``prog``/``log`` list the ``(state, var)`` pairs read through
+    ``φ_P``/``φ_L`` of states bound *outside* ``node``, ``values`` the
+    value variables it reads from outside.  ``None`` when some part is
+    outside the groundable fragment.
+    """
+    prog, log, values = {}, {}, {}
+
+    def walk(n, states, vals):
+        if isinstance(n, (AndAssertion, OrAssertion)):
+            for part in n.parts:
+                walk(part, states, vals)
+        elif isinstance(n, NotAssertion):
+            walk(n.operand, states, vals)
+        elif isinstance(n, SCmp):
+            for read in n.prog_lookups():
+                if read[0] not in states:
+                    prog[read] = None
+            for read in n.log_lookups():
+                if read[0] not in states:
+                    log[read] = None
+            for name in n.free_value_vars():
+                if name not in vals:
+                    values[name] = None
+        elif isinstance(n, (SAnd, SOr)):
+            walk(n.left, states, vals)
+            walk(n.right, states, vals)
+        elif isinstance(n, (SForallState, SExistsState)):
+            walk(n.body, states | {n.state}, vals)
+        elif isinstance(n, (SForallVal, SExistsVal)):
+            walk(n.body, states, vals | {n.var})
+        elif not isinstance(n, SBool):
+            raise Unsupported("cannot ground %r" % (n,))
+
+    try:
+        walk(node, frozenset(), frozenset())
+    except Exception:
+        return None  # the direct walk raises its own error for this part
+    return tuple(prog), tuple(log), tuple(values)
+
+
 class _Grounder:
     """One grounding pass over one universe/atom namespace.
 
     Holds the prebuilt positive/negative atom literals (one pair per
-    state id) and the memo of compiled comparison closures; the
-    recursion threads two *mutable* binding environments, restoring
-    each binding on exit instead of copying the dict per instantiation.
+    state id), the memo of compiled comparison closures, and the
+    per-quantifier footprints and grounded formulas; the recursion
+    threads two *mutable* binding environments, restoring each binding
+    on exit instead of copying the dict per instantiation.  All memos
+    are keyed by node identity: the assertion tree outlives the pass,
+    so ids are stable for its duration.
     """
 
-    __slots__ = ("universe", "domain", "pos", "neg", "_cmps")
+    __slots__ = ("universe", "domain", "pos", "neg", "_cmps", "_footprints", "_memo")
 
     def __init__(self, universe, domain, atom):
         self.universe = universe
@@ -96,10 +158,10 @@ class _Grounder:
         self.pos = tuple(fvar(atom(u)) for u in universe)
         self.neg = tuple(fnot(v) for v in self.pos)
         self._cmps = {}
+        self._footprints = {}  # id(quantifier) -> _footprint(quantifier)
+        self._memo = {}  # (id(quantifier), footprint values) -> formula
 
     def _cmp_fn(self, node):
-        # keyed by node identity: the assertion tree outlives the pass,
-        # so ids are stable for its duration
         fn = self._cmps.get(id(node))
         if fn is None:
             op = compile_cmp(node.op)
@@ -137,6 +199,37 @@ class _Grounder:
             if isinstance(left, FTrue):  # mirror `or` short-circuit
                 return left
             return f_or(left, self.ground(node.right, sigma, delta))
+        if isinstance(node, (SForallVal, SExistsVal, SForallState, SExistsState)):
+            return self._quantifier(node, sigma, delta)
+        raise Unsupported("cannot ground %r" % (node,))
+
+    def _quantifier(self, node, sigma, delta):
+        """``node`` grounded once per distinct value of its footprint."""
+        node_id = id(node)
+        footprint = self._footprints.get(node_id, _MISSING)
+        if footprint is _MISSING:
+            footprint = self._footprints[node_id] = _footprint(node)
+        if footprint is None:
+            return self._expand(node, sigma, delta)
+        prog, log, values = footprint
+        try:
+            key = (
+                node_id,
+                tuple([sigma[s].prog[x] for s, x in prog])
+                + tuple([sigma[s].log[x] for s, x in log])
+                + tuple([delta[y] for y in values]),
+            )
+            formula = self._memo.get(key)
+        except Exception:
+            # an unbound read: the direct walk raises (or short-circuits
+            # past it) exactly as it would without the memo
+            return self._expand(node, sigma, delta)
+        if formula is None:
+            formula = self._memo[key] = self._expand(node, sigma, delta)
+        return formula
+
+    def _expand(self, node, sigma, delta):
+        """Instantiate the quantifier ``node`` over the universe/domain."""
         if isinstance(node, (SForallVal, SExistsVal)):
             name = node.var
             body = node.body
@@ -156,24 +249,22 @@ class _Grounder:
             else:
                 delta[name] = old
             return fand(*parts) if universal else f_or(*parts)
-        if isinstance(node, (SForallState, SExistsState)):
-            name = node.state
-            body = node.body
-            old = sigma.get(name, _MISSING)
-            parts = []
-            if isinstance(node, SForallState):
-                lits, combine, inner = self.neg, fand, f_or
-            else:
-                lits, combine, inner = self.pos, f_or, fand
-            for i, u in enumerate(self.universe):
-                sigma[name] = u
-                parts.append(inner(lits[i], self.ground(body, sigma, delta)))
-            if old is _MISSING:
-                sigma.pop(name, None)  # empty universe: never bound
-            else:
-                sigma[name] = old
-            return combine(*parts)
-        raise Unsupported("cannot ground %r" % (node,))
+        name = node.state
+        body = node.body
+        old = sigma.get(name, _MISSING)
+        parts = []
+        if isinstance(node, SForallState):
+            lits, combine, inner = self.neg, fand, f_or
+        else:
+            lits, combine, inner = self.pos, f_or, fand
+        for i, u in enumerate(self.universe):
+            sigma[name] = u
+            parts.append(inner(lits[i], self.ground(body, sigma, delta)))
+        if old is _MISSING:
+            sigma.pop(name, None)  # empty universe: never bound
+        else:
+            sigma[name] = old
+        return combine(*parts)
 
 
 def entails_sat(pre, post, universe, domain, atom=None):

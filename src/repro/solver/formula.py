@@ -3,6 +3,15 @@
 Atoms are identified by arbitrary hashable names.  Constructors perform
 light simplification (constant folding, flattening) so that grounded
 hyper-assertions stay small.
+
+Formulas are frozen dataclasses compared structurally.  The atom and
+connective nodes cache their hash on first use, as
+:class:`~repro.semantics.state.ExtState` does: the grounder shares
+subformulas across quantifier instantiations, and
+:class:`~repro.solver.encode.IncrementalEntailment` keys its literal
+memo by whole formulas, so the dataclass hash would re-walk every
+shared subtree on every lookup.  The cache is dropped on pickling and
+recomputed on load, since string hashes differ between processes.
 """
 
 from dataclasses import dataclass
@@ -28,6 +37,22 @@ class Formula:
 
     def __invert__(self):
         return fnot(self)
+
+    def _fields(self):
+        """The dataclass fields' values, in order (none here)."""
+        return ()
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self._fields())  # the dataclass hash, computed once
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # rebuild from the fields alone: a pickled ``_hash`` would be
+        # stale under another PYTHONHASHSEED
+        return (type(self), self._fields())
 
 
 @dataclass(frozen=True)
@@ -56,7 +81,12 @@ class FFalse(Formula):
 class FVar(Formula):
     """An atom."""
 
+    __hash__ = Formula.__hash__  # keep the cached hash (dataclass replaces it)
+
     name: object
+
+    def _fields(self):
+        return (self.name,)
 
     def evaluate(self, assignment):
         return bool(assignment[self.name])
@@ -69,7 +99,12 @@ class FVar(Formula):
 class FNot(Formula):
     """Negation."""
 
+    __hash__ = Formula.__hash__  # keep the cached hash (dataclass replaces it)
+
     operand: Formula
+
+    def _fields(self):
+        return (self.operand,)
 
     def evaluate(self, assignment):
         return not self.operand.evaluate(assignment)
@@ -82,7 +117,12 @@ class FNot(Formula):
 class FAnd(Formula):
     """N-ary conjunction."""
 
+    __hash__ = Formula.__hash__  # keep the cached hash (dataclass replaces it)
+
     parts: Tuple[Formula, ...]
+
+    def _fields(self):
+        return (self.parts,)
 
     def evaluate(self, assignment):
         return all(p.evaluate(assignment) for p in self.parts)
@@ -98,7 +138,12 @@ class FAnd(Formula):
 class FOr(Formula):
     """N-ary disjunction."""
 
+    __hash__ = Formula.__hash__  # keep the cached hash (dataclass replaces it)
+
     parts: Tuple[Formula, ...]
+
+    def _fields(self):
+        return (self.parts,)
 
     def evaluate(self, assignment):
         return any(p.evaluate(assignment) for p in self.parts)

@@ -86,3 +86,53 @@ class TestExtState:
     @given(values, values)
     def test_equality(self, log, prog):
         assert ExtState(State(log), State(prog)) == ExtState(State(log), State(prog))
+
+
+class TestPickleAcrossHashSeeds:
+    """Cached hashes must not travel through pickle: string hashes differ
+    between processes with different ``PYTHONHASHSEED``\\ s, so a stale
+    ``_hash`` would make equal objects miss each other in sets."""
+
+    BUILD = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "from repro.semantics.state import ext_state\n"
+        "from repro.solver.formula import fand, fnot, fvar\n"
+        "state = ext_state({'t': 1}, {'x': 0, 'y': 2})\n"
+        "formula = fand(fvar(('m', 'a')), fnot(fvar(('m', 'b'))))\n"
+        "objects = (state, state.prog, formula)\n"
+    )
+
+    def _run(self, program, hashseed, stdin=None):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        return subprocess.run(
+            [sys.executable, "-c", program],
+            input=stdin, capture_output=True, env=env, check=True,
+        ).stdout
+
+    def test_unpickled_objects_hash_like_fresh_ones(self):
+        import os
+
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+            "src",
+        )
+        build = self.BUILD % src
+        dumped = self._run(
+            build + "import pickle, sys\n"
+            "[hash(o) for o in objects]  # cache every hash before pickling\n"
+            "sys.stdout.buffer.write(pickle.dumps(objects))\n",
+            "1",
+        )
+        verdicts = self._run(
+            build + "import pickle, sys\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "for old, new in zip(loaded, objects):\n"
+            "    print(old == new, old in {new}, new in {old})\n",
+            "2",
+            stdin=dumped,
+        )
+        assert verdicts.decode().split() == ["True"] * 9
