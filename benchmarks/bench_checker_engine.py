@@ -175,7 +175,7 @@ def bench_speedup(universe, repeats, attempts=3):
         "  engine (warm shared cache):      %8.4fs   %6.1fx"
         % (warm_t, naive_t / warm_t if warm_t else float("inf"))
     )
-    print("  image cache: %r" % (cache.info(),))
+    print("  image cache: %r" % (cache.stats(),))
     assert speedup >= MIN_SPEEDUP, (
         "expected >= %.0fx over the naive oracle, measured %.1fx"
         % (MIN_SPEEDUP, speedup)

@@ -48,6 +48,11 @@ def main():
     print("warm batch (same suite, memoized session):")
     warm = session.verify_many(tasks, max_workers=4)
     print(warm.summary())
+    print(
+        "warm entailments: %d cache hits, %d misses"
+        % (warm.counters["entailment_cache_hits"],
+           warm.counters["entailment_cache_misses"])
+    )
     print()
 
     print("session caches:", session.cache_info())

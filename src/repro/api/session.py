@@ -22,8 +22,8 @@ run or a powerset enumeration.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from . import task as _task_mod
 
@@ -217,59 +217,22 @@ class TaskResult(WireCodec):
 class Report(WireCodec):
     """Aggregate outcome of :meth:`Session.verify_many`.
 
-    The ``image_cache_*`` fields are the per-batch deltas of the
-    session's :class:`~repro.checker.engine.ImageCache` counters
-    (``evictions`` stays 0 unless the session bounds the cache with
-    ``max_image_entries``); ``image_mask_*`` are the same deltas for the
-    cache's bitset *mask tier* — the per-universe id-bitmask images the
-    bitset engine enumerates with (a mask hit never touches the
-    frozenset tier, a mask miss computes through it); process-sharded
-    batches aggregate the workers' private caches.  ``entailment_sat_decisions`` /
-    ``entailment_brute_decisions`` are likewise per-batch deltas of the
-    oracle's per-method counters (:meth:`EntailmentOracle.method_counts`)
-    — how many entailment queries the SAT encoding actually decided
-    versus how many fell back to brute-force enumeration.  Per-backend
+    ``counters`` maps each counter name to its per-batch delta; the
+    names and their sources are listed once, in :func:`_counters` (the
+    session's cache, oracle, compile and parallel-scan counters) and
+    :func:`counter_deltas` (the result ledger's ``fingerprint_hits`` /
+    ``cone_invalidations``, non-zero only for :meth:`Session.reverify`).
+    Process-sharded batches sum their workers' deltas by name, so a
+    sharded report carries the same names as an inline one.  Per-backend
     decision counts are derived from the results themselves
-    (:meth:`decided_by_backend`), so they need no extra wire fields and
-    aggregate correctly across process shards.
-
-    The ``parallel_*`` counters come from the intra-task partitioned
-    scan (:mod:`repro.checker.parallel`, enabled with
-    ``Session(intra_task_workers=N)``): ``parallel_blocks`` is the
-    number of mask-index blocks shipped to the process pool during the
-    batch, ``blocks_cancelled`` how many were revoked or cut short by a
-    lower-index refutation (wasted work avoided), and
-    ``parallel_scan_states`` the candidates actually scanned in workers.
-    All zero when intra-task parallelism is off or no scan was eligible.
-
-    The incremental counters (``fingerprint_*`` / ``cone_*`` /
-    ``artifacts_reused``) come from the :mod:`repro.deps` subsystem:
-    ``fingerprint_hits`` counts whole stored task outcomes reused by
-    structural fingerprint in :meth:`Session.reverify`;
-    ``cone_invalidations`` counts cached artifacts dropped because a
-    declared edit's dependency cone touched them; ``artifacts_reused``
-    counts the underlying per-subtree artifacts (compiled closures,
-    image-table rows, entailment verdicts) that were cache hits during
-    the batch — the subtree-level reuse an edited task still enjoys.
+    (:meth:`decided_by_backend`), so they need no counter and aggregate
+    correctly across process shards.
     """
 
     results: Tuple[TaskResult, ...]
     elapsed: float = 0.0
-    entailment_cache_hits: int = 0
-    entailment_cache_misses: int = 0
-    image_cache_hits: int = 0
-    image_cache_misses: int = 0
-    image_cache_evictions: int = 0
-    entailment_sat_decisions: int = 0
-    entailment_brute_decisions: int = 0
-    image_mask_hits: int = 0
-    image_mask_misses: int = 0
-    fingerprint_hits: int = 0
-    cone_invalidations: int = 0
-    artifacts_reused: int = 0
-    parallel_blocks: int = 0
-    blocks_cancelled: int = 0
-    parallel_scan_states: int = 0
+    # a mutable mapping, so left out of the hash (it still compares)
+    counters: Dict[str, int] = field(default_factory=dict, hash=False)
 
     def __iter__(self):
         return iter(self.results)
@@ -320,42 +283,19 @@ class Report(WireCodec):
             "%s: %d" % (name, count)
             for name, count in sorted(self.decided_by_backend().items())
         )
+        counters = ", ".join(
+            "%s=%d" % (name, value) for name, value in sorted(self.counters.items())
+        )
         lines = [
-            "report: %d verified, %d refuted, %d undecided in %.3fs "
-            "(entailment cache: %d hits, %d misses; image cache: %d hits, "
-            "%d misses, %d evictions; mask tier: %d hits, %d misses)"
+            "report: %d verified, %d refuted, %d undecided in %.3fs"
             % (
                 len(self.verified),
                 len(self.refuted),
                 len(self.undecided),
                 self.elapsed,
-                self.entailment_cache_hits,
-                self.entailment_cache_misses,
-                self.image_cache_hits,
-                self.image_cache_misses,
-                self.image_cache_evictions,
-                self.image_mask_hits,
-                self.image_mask_misses,
             ),
-            "  decided by: %s; entailments: %d sat, %d brute"
-            % (
-                decided or "nothing",
-                self.entailment_sat_decisions,
-                self.entailment_brute_decisions,
-            ),
-            "  incremental: %d fingerprint hits, %d cone invalidations, "
-            "%d artifacts reused"
-            % (
-                self.fingerprint_hits,
-                self.cone_invalidations,
-                self.artifacts_reused,
-            ),
-            "  parallel: %d blocks, %d cancelled, %d states scanned"
-            % (
-                self.parallel_blocks,
-                self.blocks_cancelled,
-                self.parallel_scan_states,
-            ),
+            "  decided by: %s" % (decided or "nothing"),
+            "  counters: %s" % (counters or "none"),
         ]
         for index, result in enumerate(self.results):
             verdict = {True: "verified", False: "refuted", None: "undecided"}[
@@ -370,8 +310,9 @@ class Report(WireCodec):
 
 
 def _counters(session):
-    """The session's cumulative cache, oracle and parallel-scan counters,
-    keyed by the :class:`Report` field each one's delta fills."""
+    """The session's cumulative counters by name — the one table of the
+    counters a :class:`Report` carries (as per-batch deltas) and
+    :meth:`Session.cache_info` returns (as running totals)."""
     oracle = session.oracle.cache_info()
     images = session.images.stats()
     compiles = session.compiles.stats()
@@ -380,35 +321,56 @@ def _counters(session):
     return {
         "entailment_cache_hits": oracle["hits"],
         "entailment_cache_misses": oracle["misses"],
+        # entailment queries the SAT encoding decided vs. those that
+        # fell back to brute-force enumeration (cache hits count under
+        # the method that decided the entry)
+        "entailment_sat_decisions": methods.get("sat", 0),
+        "entailment_brute_decisions": methods.get("brute", 0),
+        # evictions stay 0 unless max_image_entries bounds the cache
         "image_cache_hits": images["hits"],
         "image_cache_misses": images["misses"],
         "image_cache_evictions": images["evictions"],
-        "entailment_sat_decisions": methods.get("sat", 0),
-        "entailment_brute_decisions": methods.get("brute", 0),
+        # the bitset mask tier: a mask hit never touches the frozenset
+        # tier, a mask miss computes through it
         "image_mask_hits": images["mask_hits"],
         "image_mask_misses": images["mask_misses"],
+        "compile_hits": compiles["hits"],
+        "compile_misses": compiles["misses"],
+        # all reasons summed; CompileCache.stats() keeps them apart
+        "compile_fallbacks": sum(compiles["fallbacks"].values()),
         # subtree-level reuse: compiled closures, image rows and
         # entailment verdicts served from cache (the mask tier shadows
         # the image tier, so it is not double-counted)
         "artifacts_reused": oracle["hits"] + images["hits"] + compiles["hits"],
+        # the intra-task partitioned scan (Session(intra_task_workers=N)):
+        # blocks shipped to the pool, blocks revoked or cut short by a
+        # lower-index refutation, candidates scanned in workers
         "parallel_blocks": par["blocks"],
         "blocks_cancelled": par["cancelled"],
         "parallel_scan_states": par["scan_states"],
     }
 
 
-def counter_deltas(session, work):
-    """Run ``work()`` → ``(its result, {Report field: counter delta})``.
+def counter_deltas(session, work, fingerprint_hits=0, cone_invalidations=0):
+    """Run ``work()`` → ``(its result, {counter name: per-batch delta})``.
 
-    The one place a batch's cache and oracle counters are measured:
+    The one place a batch's counters are measured:
     :meth:`Session._run_batch` passes the deltas straight to
     :class:`Report`, and process shards return them for the parent to
-    sum by key.
+    sum by name.  The result ledger's counts come from the caller:
+    ``fingerprint_hits`` — whole task outcomes :meth:`Session.reverify`
+    reused by structural fingerprint — and ``cone_invalidations`` —
+    cached artifacts its declared edits dropped.  Process shards never
+    consult the ledger, so theirs are 0.
     """
     before = _counters(session)
     result = work()
     after = _counters(session)
-    return result, {name: after[name] - before[name] for name in after}
+    deltas = {name: after[name] - before[name] for name in after}
+    deltas.update(
+        fingerprint_hits=fingerprint_hits, cone_invalidations=cone_invalidations
+    )
+    return result, deltas
 
 
 def default_backends(max_set_size=None):
@@ -541,8 +503,6 @@ class Session:
         # benign-race semantics (equal fingerprints imply equal content,
         # so a race stores an equivalent result).
         self._ledger = {}
-        self._fingerprint_hits = 0
-        self._cone_invalidations = 0
 
     def close(self):
         """Release worker processes held by intra-task parallelism.
@@ -683,16 +643,16 @@ class Session:
         max_workers=None,
         backends=None,
         budgets=None,
-        fingerprint_hits=0,
-        cone_invalidations=0,
         reused=(),
+        cone_invalidations=0,
     ):
         """Run the non-reused tasks of a normalized batch → :class:`Report`.
 
         ``reused`` maps input index → ledger'd :class:`TaskResult` for
         tasks :meth:`reverify` already settled by fingerprint; everything
-        else runs through the chain.  The cache-counter deltas bracket
-        only the fresh work, so ``artifacts_reused`` measures the
+        else runs through the chain; ``cone_invalidations`` is how many
+        artifacts its declared edits dropped.  The cache-counter deltas
+        bracket only the fresh work, so ``artifacts_reused`` measures the
         subtree-level reuse the re-run tasks actually enjoyed.
         """
         reused = dict(reused)
@@ -712,7 +672,12 @@ class Session:
                     )
             return [self._run_task(t, backends, budgets) for _, t in pending]
 
-        fresh, deltas = counter_deltas(self, run)
+        fresh, counters = counter_deltas(
+            self,
+            run,
+            fingerprint_hits=len(reused),
+            cone_invalidations=cone_invalidations,
+        )
         elapsed = _task_mod.clock() - started
         results = dict(reused)
         for (index, _), result in zip(pending, fresh):
@@ -720,9 +685,7 @@ class Session:
         return Report(
             tuple(results[i] for i in range(len(normalized))),
             elapsed=elapsed,
-            fingerprint_hits=fingerprint_hits,
-            cone_invalidations=cone_invalidations,
-            **deltas,
+            counters=counters,
         )
 
     # -- incremental re-verification ---------------------------------------
@@ -802,7 +765,6 @@ class Session:
                 self.images.drop(key)
             elif kind == "compile":
                 self.compiles.drop(key)
-        self._cone_invalidations += len(doomed)
         return len(doomed)
 
     def reverify(
@@ -824,8 +786,8 @@ class Session:
         subtrees (pre-edit nodes or fingerprints); their dependency cone
         is dropped first via :meth:`invalidate`, which keeps long-lived
         sessions from accumulating dead artifacts.  The returned
-        :class:`Report` carries ``fingerprint_hits`` (whole outcomes
-        reused), ``cone_invalidations`` (artifacts dropped) and
+        :class:`Report`'s ``counters`` carry ``fingerprint_hits`` (whole
+        outcomes reused), ``cone_invalidations`` (artifacts dropped) and
         ``artifacts_reused`` (subtree-level cache hits during the
         re-run).  Verdicts are always identical to a cold
         :meth:`verify_many` — fingerprints are content addresses, so a
@@ -841,15 +803,13 @@ class Session:
             cached = self._ledger.get(fp)
             if cached is not None:
                 reused[index] = cached
-        self._fingerprint_hits += len(reused)
         return self._run_batch(
             normalized,
             max_workers,
             backends,
             budgets,
-            fingerprint_hits=len(reused),
-            cone_invalidations=cone,
             reused=reused,
+            cone_invalidations=cone,
         )
 
     def reset(self):
@@ -864,8 +824,6 @@ class Session:
         self._assertion_cache.clear()
         self._ledger.clear()
         self.deps.clear()
-        self._fingerprint_hits = 0
-        self._cone_invalidations = 0
 
     def disprove(self, pre, program, post, construct_proof=False):
         """Thm. 5: a disproof of ``{pre} program {post}`` (or ``None``).
@@ -891,28 +849,19 @@ class Session:
         )
 
     def cache_info(self):
-        """Cache statistics for diagnostics and benchmarks."""
-        info = self.oracle.cache_info()
+        """The session's running counter totals (the :class:`Report`
+        counter names of :func:`_counters`) plus the caches' current
+        sizes — for diagnostics and benchmarks."""
         images = self.images.stats()
-        compiles = self.compiles.stats()
-        return {
-            "entailment_hits": info["hits"],
-            "entailment_misses": info["misses"],
-            "entailment_size": info["size"],
-            "image_hits": images["hits"],
-            "image_misses": images["misses"],
-            "image_size": images["size"],
-            "image_evictions": images["evictions"],
-            "image_mask_hits": images["mask_hits"],
-            "image_mask_misses": images["mask_misses"],
-            "image_mask_size": images["mask_size"],
-            "compile_hits": compiles["hits"],
-            "compile_misses": compiles["misses"],
-            "compile_size": compiles["size"],
-            "compile_fallbacks": compiles["fallbacks"],
-            "programs": len(self._program_cache),
-            "assertions": len(self._assertion_cache),
-        }
+        return dict(
+            _counters(self),
+            entailment_size=self.oracle.cache_info()["size"],
+            image_size=images["size"],
+            image_mask_size=images["mask_size"],
+            compile_size=self.compiles.stats()["size"],
+            programs=len(self._program_cache),
+            assertions=len(self._assertion_cache),
+        )
 
     def _run_task(self, task, backends=None, budgets=None):
         chain = self.backends if backends is None else tuple(backends)

@@ -137,7 +137,7 @@ def _init_worker(spec):
 
 def _run_chunk(chunk, budgets):
     """Verify one chunk of task documents → outcome documents + the
-    worker session's counter deltas (keyed by ``Report`` field)."""
+    worker session's counter deltas (keyed by counter name)."""
     session = _WORKER_SESSION
 
     def run():
@@ -204,4 +204,4 @@ def verify_many_sharded(session, tasks, shards=None, backends=None, budgets=None
     results = tuple(
         TaskResult(task, outcomes_by_index[i]) for i, task in enumerate(normalized)
     )
-    return Report(results, elapsed=elapsed, **totals)
+    return Report(results, elapsed=elapsed, counters=totals)

@@ -160,8 +160,8 @@ class EntailmentOracle:
         reflect *usage*, not recomputation.  Snapshot before and after a
         batch and subtract to attribute counts to it
         (:meth:`~repro.api.session.Session.verify_many` does exactly
-        that for :attr:`Report.entailment_sat_decisions` /
-        ``entailment_brute_decisions``).
+        that for the ``entailment_sat_decisions`` /
+        ``entailment_brute_decisions`` entries of :attr:`Report.counters`).
         """
         with self._counts_lock:
             return dict(self._counts)

@@ -290,13 +290,8 @@ class ImageCache:
             self._table.pop(key, None)
             self._evict_masks_of(key)
 
-    def info(self):
-        """``{"hits": ..., "misses": ..., "size": ...}``."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses, "size": len(self._table)}
-
     def stats(self):
-        """:meth:`info` plus evictions, the cap and the mask tier."""
+        """Hits, misses, size, evictions, the cap and the mask tier."""
         with self._lock:
             return {
                 "hits": self.hits,

@@ -30,12 +30,14 @@ misreading them; golden fixture files under ``tests/codec/`` pin the
 current shapes and CI fails when they drift without a bump.
 """
 
+import threading
+
 from ..errors import ReproError
 
 #: The version stamped on every top-level document.  Bump on ANY change
 #: to the wire shape of ANY kind, and regenerate the golden fixtures
 #: (``python tests/codec/test_golden.py --regen``).
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: The discriminator key present on every node.
 KIND_KEY = "$kind"
@@ -52,7 +54,12 @@ class WireError(ReproError):
 _ENCODERS = {}
 #: kind -> decode — decode receives the node dict and returns the object.
 _DECODERS = {}
+#: Set only once every codec is registered, so a thread that sees it
+#: True never finds the tables half-filled.
 _REGISTERED = False
+#: Serializes the first-use registration; re-entrant, so an encode that
+#: runs while the codec module loads cannot deadlock on it.
+_REGISTER_LOCK = threading.RLock()
 
 
 def register(kind, types, encode, decode):
@@ -73,10 +80,16 @@ def register(kind, types, encode, decode):
 
 
 def _ensure_registered():
+    # double-checked: every encode/decode node calls this, so once the
+    # codecs are in, the fast path reads one global and takes no lock
     global _REGISTERED
-    if not _REGISTERED:
-        _REGISTERED = True
-        from . import codecs  # noqa: F401  (imports run the registrations)
+    if _REGISTERED:
+        return
+    with _REGISTER_LOCK:
+        if not _REGISTERED:
+            from . import codecs  # noqa: F401  (imports run the registrations)
+
+            _REGISTERED = True
 
 
 def encode(obj):

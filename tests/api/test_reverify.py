@@ -38,8 +38,8 @@ class TestReuse:
     def test_unchanged_suite_is_fully_reused(self, session):
         first = session.verify_many(SUITE)
         again = session.reverify(SUITE)
-        assert again.fingerprint_hits == len(SUITE)
-        assert again.cone_invalidations == 0
+        assert again.counters["fingerprint_hits"] == len(SUITE)
+        assert again.counters["cone_invalidations"] == 0
         assert [r.verdict for r in again] == [r.verdict for r in first]
         assert [r.method for r in again] == [r.method for r in first]
         # reused results are the ledger'd objects — nothing re-ran
@@ -51,15 +51,15 @@ class TestReuse:
         edited = list(SUITE)
         edited[1] = (SUITE[1][0], "l := 1", SUITE[1][2])
         report = session.reverify(edited, changed=[old_cmd])
-        assert report.fingerprint_hits == len(SUITE) - 1
-        assert report.cone_invalidations > 0
+        assert report.counters["fingerprint_hits"] == len(SUITE) - 1
+        assert report.counters["cone_invalidations"] > 0
         cold = cold_report(edited)
         assert [r.verdict for r in report] == [r.verdict for r in cold]
         assert [r.method for r in report] == [r.method for r in cold]
 
     def test_cold_session_reverify_is_just_verify(self, session):
         report = session.reverify(SUITE)
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
         cold = cold_report(SUITE)
         assert [r.verdict for r in report] == [r.verdict for r in cold]
 
@@ -70,8 +70,8 @@ class TestReuse:
         report = session.reverify(edited)
         # content addressing needs no edit declaration for correctness:
         # the edited task misses, the rest hit
-        assert report.fingerprint_hits == len(SUITE) - 1
-        assert report.cone_invalidations == 0
+        assert report.counters["fingerprint_hits"] == len(SUITE) - 1
+        assert report.counters["cone_invalidations"] == 0
         assert [r.verdict for r in report] == [
             r.verdict for r in cold_report(edited)
         ]
@@ -94,8 +94,8 @@ class TestConeInvalidation:
         report = session.reverify(SUITE, changed=[fingerprint(old_cmd)])
         # the task itself was not edited, so after the cone drop it
         # simply re-runs and re-ledgers — N-1 hits, same verdicts
-        assert report.fingerprint_hits == len(SUITE) - 1
-        assert report.cone_invalidations > 0
+        assert report.counters["fingerprint_hits"] == len(SUITE) - 1
+        assert report.counters["cone_invalidations"] > 0
 
     def test_editing_a_shared_subtree_invalidates_all_containers(self):
         session = Session(["h", "l", "y"], lo=0, hi=1)
@@ -108,7 +108,7 @@ class TestConeInvalidation:
         report = session.reverify(shared, changed=[old_cmd])
         # both tasks contain the changed subtree: neither may be reused
         # from a stale ledger after its declared edit
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
 
     def test_semantic_changed_items_are_skipped(self, session):
         session.verify_many(SUITE)
@@ -120,14 +120,14 @@ class TestLedgerKeys:
     def test_budget_change_is_never_a_false_hit(self, session):
         session.verify_many(SUITE)
         report = session.reverify(SUITE, budgets={"exhaustive": 30.0})
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
 
     def test_backend_chain_change_is_never_a_false_hit(self, session):
         from repro.api.backends import ExhaustiveBackend
 
         session.verify_many(SUITE)
         report = session.reverify(SUITE, backends=[ExhaustiveBackend()])
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
 
     def test_semantic_tasks_always_rerun(self, session):
         suite = [
@@ -135,7 +135,7 @@ class TestLedgerKeys:
         ]
         first = session.verify_many(suite)
         again = session.reverify(suite)
-        assert again.fingerprint_hits == 0
+        assert again.counters["fingerprint_hits"] == 0
         assert [r.verdict for r in again] == [r.verdict for r in first]
 
 
@@ -144,7 +144,7 @@ class TestReset:
         session.verify_many(SUITE)
         session.reset()
         report = session.reverify(SUITE)
-        assert report.fingerprint_hits == 0
+        assert report.counters["fingerprint_hits"] == 0
         assert len(session.deps) > 0  # re-recorded by the fresh run
         cold = cold_report(SUITE)
         assert [r.verdict for r in report] == [r.verdict for r in cold]
@@ -173,17 +173,22 @@ class TestReset:
 class TestCounters:
     def test_report_counters_round_trip_the_codec(self):
         report = Report(
-            (), fingerprint_hits=3, cone_invalidations=2, artifacts_reused=7
+            (),
+            counters={
+                "fingerprint_hits": 3,
+                "cone_invalidations": 2,
+                "artifacts_reused": 7,
+            },
         )
         decoded = from_wire(to_wire(report))
-        assert decoded.fingerprint_hits == 3
-        assert decoded.cone_invalidations == 2
-        assert decoded.artifacts_reused == 7
+        assert decoded.counters["fingerprint_hits"] == 3
+        assert decoded.counters["cone_invalidations"] == 2
+        assert decoded.counters["artifacts_reused"] == 7
 
     def test_summary_mentions_the_incremental_line(self, session):
         session.verify_many(SUITE)
         report = session.reverify(SUITE)
-        assert "incremental: %d fingerprint hits" % len(SUITE) in report.summary()
+        assert "fingerprint_hits=%d" % len(SUITE) in report.summary()
 
     def test_artifacts_reused_counts_subtree_hits(self, session):
         session.verify_many(SUITE)
@@ -192,14 +197,15 @@ class TestCounters:
         report = session.reverify(edited)
         # the re-run task shares its command and post with the warm run:
         # compiled closures / images / verdicts must hit
-        assert report.artifacts_reused > 0
+        assert report.counters["artifacts_reused"] > 0
 
     def test_sharded_report_aggregates_artifacts_reused(self, session):
         # two shards, each repeating a command across its chunk: the
         # per-worker compile/image/entailment hits must flow back
         suite = SUITE * 2
         report = session.verify_many(suite, sharding="process", shards=2)
-        assert report.artifacts_reused > 0
-        assert report.fingerprint_hits == 0  # plain batches never claim reuse
+        assert report.counters["artifacts_reused"] > 0
+        # plain batches never claim reuse
+        assert report.counters["fingerprint_hits"] == 0
         decoded = from_wire(to_wire(report))
-        assert decoded.artifacts_reused == report.artifacts_reused
+        assert decoded.counters == report.counters

@@ -39,6 +39,14 @@ class TestShardedVerifyMany:
         assert len(report) == len(TASKS)
         assert report.refuted  # task 1 is the classic leak
 
+    def test_single_shard_counters_equal_inline_counters(self):
+        # one worker session sees exactly the work an inline session
+        # does, so every counter — ledger counters included — matches
+        sharded = fresh_session().verify_many(TASKS, sharding="process", shards=1)
+        inline = fresh_session().verify_many(TASKS)
+        assert sharded.counters == inline.counters
+        assert sharded.counters["entailment_cache_misses"] > 0
+
     def test_more_shards_than_tasks(self):
         report = fresh_session().verify_many(TASKS[:2], sharding="process", shards=8)
         assert len(report) == 2

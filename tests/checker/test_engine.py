@@ -120,7 +120,7 @@ class TestImageCache:
         engine = CheckerEngine(uni_xy2, cache)
         command = parse_command("x := nonDet()")
         engine.check(TRUE_H, command, TRUE_H)
-        info = cache.info()
+        info = cache.stats()
         assert info["misses"] == uni_xy2.size()  # one execution per state
         # a second full check over 2^4 sets is pure cache hits (the
         # bitset engine hits the mask tier, which sits above the
@@ -142,17 +142,17 @@ class TestImageCache:
         # and a loose request after a tight successful one is a cache hit
         small = parse_command("x := 0")
         engine.check(TRUE_H, small, TRUE_H, max_size=1, max_states=4)
-        misses = engine.cache.info()["misses"]
+        misses = engine.cache.stats()["misses"]
         engine.check(TRUE_H, small, TRUE_H, max_size=1)
-        assert engine.cache.info()["misses"] == misses
+        assert engine.cache.stats()["misses"] == misses
 
     def test_cache_shared_across_engines(self, uni_xy2):
         cache = ImageCache()
         command = parse_command("y := x")
         CheckerEngine(uni_xy2, cache).check(TRUE_H, command, TRUE_H)
-        misses = cache.info()["misses"]
+        misses = cache.stats()["misses"]
         CheckerEngine(uni_xy2, cache).check(TRUE_H, command, TRUE_H)
-        assert cache.info()["misses"] == misses
+        assert cache.stats()["misses"] == misses
 
     def test_session_shares_images_across_batch(self):
         from repro.api import ExhaustiveBackend, Session
@@ -162,10 +162,10 @@ class TestImageCache:
         report = session.verify_many(tasks)
         assert report.all_verified
         info = session.cache_info()
-        assert info["image_misses"] == session.universe.size()
+        assert info["image_cache_misses"] == session.universe.size()
         # repeats of the same task land in the bitset mask tier (which
         # shields the frozenset tier); either way no re-execution happens
-        assert info["image_hits"] + info["image_mask_hits"] > 0
+        assert info["image_cache_hits"] + info["image_mask_hits"] > 0
 
     def test_session_shares_images_across_threads(self):
         from repro.api import ExhaustiveBackend, Session
@@ -175,7 +175,7 @@ class TestImageCache:
         report = session.verify_many(tasks, max_workers=4)
         assert report.all_verified
         # a race may duplicate an execution, but never per-subset-explode
-        assert session.cache_info()["image_misses"] <= 2 * session.universe.size()
+        assert session.cache_info()["image_cache_misses"] <= 2 * session.universe.size()
 
 
 class TestPrefilter:

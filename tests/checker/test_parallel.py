@@ -189,9 +189,9 @@ class TestSessionPlumbing:
                 [("true", "x := nonDet()", "forall <a>. a(x) >= 0")]
             )
             assert report.all_verified
-            assert report.parallel_blocks > 0
-            assert report.parallel_scan_states > 0
-            assert "parallel:" in report.summary()
+            assert report.counters["parallel_blocks"] > 0
+            assert report.counters["parallel_scan_states"] > 0
+            assert "parallel_blocks=" in report.summary()
         finally:
             session.close()
 
@@ -250,7 +250,7 @@ class TestSessionPlumbing:
         assert [r.outcome.witness for r in report] == [
             r.outcome.witness for r in inline
         ]
-        assert report.parallel_blocks > 0
+        assert report.counters["parallel_blocks"] > 0
 
 
 class TestRestartAndReductionInvariance:

@@ -8,10 +8,13 @@ round-trip (the wire format is exactly what the ``--json`` CLI emits).
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.api import Proved, Refuted, Session, Undecided
+from repro.api import Proved, Refuted, Report, Session, Undecided
 from repro.api.task import VerificationTask
 from repro.checker.counterexample import Witness
 from repro.codec import SCHEMA_VERSION, WireError, from_wire, to_wire
@@ -78,6 +81,14 @@ class TestLiveResults:
         roundtrip(report)
         for result in report:
             roundtrip(result)
+        # counters encode generically: a name the codec has never heard
+        # of survives too
+        extra = Report(
+            report.results,
+            elapsed=report.elapsed,
+            counters=dict(report.counters, made_up_counter=7),
+        )
+        assert roundtrip(extra).counters["made_up_counter"] == 7
 
     def test_every_outcome_class_appears_and_roundtrips(self, report):
         seen = set()
@@ -136,6 +147,38 @@ class TestConformanceObjects:
 
 
 class TestWireContract:
+    def test_first_use_registration_is_thread_safe(self):
+        # registration is process-global, so only a fresh interpreter
+        # can race several threads into the codec's first use
+        here = os.path.abspath(__file__)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(here))), "src")
+        program = (
+            "import sys, threading; sys.path.insert(0, %r)\n"
+            "from repro.api.task import VerificationTask\n"
+            "from repro.assertions.parser import parse_assertion\n"
+            "from repro.codec import to_wire\n"
+            "from repro.lang.parser import parse_command\n"
+            "task = VerificationTask(parse_assertion('true'),\n"
+            "                        parse_command('skip'), parse_assertion('true'))\n"
+            "barrier = threading.Barrier(4)\n"
+            "errors = []\n"
+            "def first_use():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        to_wire(task)\n"
+            "    except Exception as err:\n"
+            "        errors.append(repr(err))\n"
+            "threads = [threading.Thread(target=first_use) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print('\\n'.join(errors))\n"
+        ) % (src,)
+        out = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == ""
+
     def test_wrong_schema_version_refused(self):
         document = to_wire(Proved("exhaustive", "oracle"))
         document["schema_version"] = SCHEMA_VERSION + 1
